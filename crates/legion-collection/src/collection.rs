@@ -54,9 +54,11 @@ pub const DEFAULT_SHARDS: usize = 8;
 #[derive(Default)]
 struct Shard {
     /// Member → shared record snapshot. Queries clone the `Arc`, not
-    /// the record, so results share structure with the store; mutation
-    /// goes through [`Arc::make_mut`] and copies only when a past query
-    /// result still holds the snapshot.
+    /// the record, so results share structure with the store; an
+    /// attribute change installs a fresh snapshot, and a freshness bump
+    /// goes through [`Arc::make_mut`], which copies only the record
+    /// header (its attributes are shared) while a past query result
+    /// still holds the snapshot.
     records: BTreeMap<Loid, Arc<CollectionRecord>>,
     /// Per-attribute string/trigram/numeric/presence indexes,
     /// maintained incrementally on every join/update/replace/leave/
@@ -67,10 +69,10 @@ struct Shard {
 impl Shard {
     fn insert(&mut self, record: CollectionRecord) {
         let member = record.member;
-        if let Some(old) = self.records.remove(&member) {
-            self.indexes.remove(member, &old.attrs);
+        match self.records.get(&member) {
+            Some(old) => self.indexes.update(member, &old.attrs, &record.attrs),
+            None => self.indexes.insert(member, &record.attrs),
         }
-        self.indexes.insert(member, &record.attrs);
         self.records.insert(member, Arc::new(record));
     }
 
@@ -80,24 +82,24 @@ impl Shard {
         Some(old)
     }
 
-    /// Mutates `member`'s attributes in place (copy-on-write against
-    /// outstanding query results), keeping the indexes in sync. Returns
-    /// the join timestamp plus, when `want_snapshot`, a clone of the
-    /// post-change attributes (for delta logging).
+    /// Installs `f(current attributes)` as `member`'s attributes in a
+    /// fresh record snapshot (outstanding query results keep the old
+    /// one), re-indexing only the attributes that differ. Returns the
+    /// join timestamp plus the new attributes — a shared handle, not a
+    /// copy — for delta logging.
     fn mutate_attrs(
         &mut self,
         member: Loid,
         now: SimTime,
-        f: impl FnOnce(&mut AttributeDb),
-        want_snapshot: bool,
-    ) -> Result<(SimTime, Option<AttributeDb>), LegionError> {
-        let rec = self.records.get_mut(&member).ok_or(LegionError::NoSuchObject(member))?;
-        self.indexes.remove(member, &rec.attrs);
-        let rec = Arc::make_mut(rec);
-        f(&mut rec.attrs);
-        rec.updated_at = now;
-        self.indexes.insert(member, &rec.attrs);
-        Ok((rec.joined_at, want_snapshot.then(|| rec.attrs.clone())))
+        f: impl FnOnce(&AttributeDb) -> AttributeDb,
+    ) -> Result<(SimTime, AttributeDb), LegionError> {
+        let slot = self.records.get_mut(&member).ok_or(LegionError::NoSuchObject(member))?;
+        let attrs = f(&slot.attrs);
+        self.indexes.update(member, &slot.attrs, &attrs);
+        let joined_at = slot.joined_at;
+        *slot =
+            Arc::new(CollectionRecord { member, attrs: attrs.clone(), joined_at, updated_at: now });
+        Ok((joined_at, attrs))
     }
 }
 
@@ -369,7 +371,11 @@ impl Collection {
         now: SimTime,
     ) -> Result<(), LegionError> {
         self.authenticate(cred)?;
-        self.mutate_logged(cred.member, now, |db| db.merge_from(attrs))?;
+        self.mutate_logged(cred.member, now, |db| {
+            let mut db = db.clone();
+            db.merge_from(attrs);
+            db
+        })?;
         self.bump(|m| MetricsLedger::bump(&m.collection_updates));
         Ok(())
     }
@@ -382,7 +388,7 @@ impl Collection {
         now: SimTime,
     ) -> Result<(), LegionError> {
         self.authenticate(cred)?;
-        self.mutate_logged(cred.member, now, |db| *db = attrs)?;
+        self.mutate_logged(cred.member, now, |_| attrs)?;
         self.bump(|m| MetricsLedger::bump(&m.collection_updates));
         Ok(())
     }
@@ -391,14 +397,11 @@ impl Collection {
         &self,
         member: Loid,
         now: SimTime,
-        f: impl FnOnce(&mut AttributeDb),
+        f: impl FnOnce(&AttributeDb) -> AttributeDb,
     ) -> Result<(), LegionError> {
-        let logging = self.deltas_on.load(Ordering::Acquire);
         let mut shard = self.shard_of(member).write();
-        let (joined_at, snapshot) = shard.mutate_attrs(member, now, f, logging)?;
-        if let Some(attrs) = snapshot {
-            self.log_delta(|| DeltaOp::Upsert { member, attrs, joined_at, updated_at: now });
-        }
+        let (joined_at, attrs) = shard.mutate_attrs(member, now, f)?;
+        self.log_delta(|| DeltaOp::Upsert { member, attrs, joined_at, updated_at: now });
         self.bump_epoch();
         Ok(())
     }

@@ -13,59 +13,32 @@
 //! The sweep interval bounds record staleness — experiment E-F4
 //! measures the push-vs-pull freshness trade-off.
 //!
-//! Sweeps are *incremental*: the daemon remembers a canonical digest of
-//! each host's last-pushed attributes, and when a new snapshot hashes
-//! identically it issues [`Collection::touch`] — a freshness bump that
-//! rewrites no indexes and ships a tiny [`Touch`](crate::delta::DeltaOp)
-//! delta to push mirrors — instead of a wholesale replace. An idle
-//! fleet therefore costs each sweep O(hosts) hash-and-touch, not
-//! O(hosts × attrs) index churn.
+//! Sweeps are *incremental*: the daemon remembers each host's
+//! last-pushed attributes, and when a new snapshot is exactly equal it
+//! issues [`Collection::touch`] — a freshness bump that rewrites no
+//! indexes and ships a tiny [`Touch`](crate::delta::DeltaOp) delta to
+//! push mirrors — instead of a wholesale replace. Attribute databases
+//! are shared copy-on-write, so remembering a snapshot costs a
+//! reference count, and an idle host that hands back the very snapshot
+//! it handed out last time compares by pointer. An idle fleet therefore
+//! costs each sweep O(hosts) compare-and-touch, not O(hosts × attrs)
+//! index churn.
 
 use crate::collection::{Collection, MemberCredential};
 use crate::inject::LoadForecaster;
-use legion_core::hash::KeyedTag;
 use legion_core::host::well_known;
-use legion_core::{AttrValue, AttributeDb, HostObject, Loid, LoidKind, SimTime};
+use legion_core::{AttributeDb, HostObject, LegionError, Loid, LoidKind, SimTime};
 use legion_fabric::Fabric;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct Target {
     collection: Arc<Collection>,
-    /// Per-member credential plus the canonical digest of the
-    /// attributes last pushed, for the touch-vs-replace decision.
-    credentials: BTreeMap<Loid, (MemberCredential, u64)>,
-}
-
-/// A canonical digest of an attribute database: name-ordered (the
-/// database iterates in name order), type-tagged, with floats hashed by
-/// bit pattern and lists recursively. Two databases digest equally iff
-/// they are semantically identical, so a matching digest justifies a
-/// touch instead of a replace.
-fn attrs_digest(attrs: &AttributeDb) -> u64 {
-    let mut t = KeyedTag::new(0xDA7AD16E57u64);
-    for (name, value) in attrs.iter() {
-        t.write_bytes(name.as_bytes());
-        hash_value(&mut t, value);
-    }
-    t.finish()
-}
-
-fn hash_value(t: &mut KeyedTag, value: &AttrValue) {
-    match value {
-        AttrValue::Int(i) => t.write_u64(1).write_u64(*i as u64),
-        AttrValue::Float(f) => t.write_u64(2).write_u64(f.to_bits()),
-        AttrValue::Str(s) => t.write_u64(3).write_bytes(s.as_bytes()),
-        AttrValue::Bool(b) => t.write_u64(4).write_u64(*b as u64),
-        AttrValue::List(items) => {
-            t.write_u64(5).write_u64(items.len() as u64);
-            for item in items {
-                hash_value(t, item);
-            }
-            t
-        }
-    };
+    /// Per-member credential plus the attributes last pushed, for the
+    /// touch-vs-replace decision.
+    credentials: BTreeMap<Loid, (MemberCredential, AttributeDb)>,
 }
 
 /// Pulls host state into one or more Collections on demand.
@@ -75,7 +48,7 @@ pub struct DataCollectionDaemon {
     hosts: RwLock<Vec<Arc<dyn HostObject>>>,
     forecaster: RwLock<Option<Arc<LoadForecaster>>>,
     fabric: RwLock<Option<Arc<Fabric>>>,
-    pulls: RwLock<u64>,
+    pulls: AtomicU64,
 }
 
 impl DataCollectionDaemon {
@@ -87,7 +60,7 @@ impl DataCollectionDaemon {
             hosts: RwLock::new(Vec::new()),
             forecaster: RwLock::new(None),
             fabric: RwLock::new(None),
-            pulls: RwLock::new(0),
+            pulls: AtomicU64::new(0),
         });
         d.add_collection(collection);
         d
@@ -131,16 +104,19 @@ impl DataCollectionDaemon {
 
     /// Number of sweeps performed.
     pub fn pull_count(&self) -> u64 {
-        *self.pulls.read()
+        self.pulls.load(Ordering::Relaxed)
     }
 
     /// Sweeps all tracked hosts once: read attributes, push the snapshot
     /// to every target Collection (joining on first contact). Returns
     /// the number of (host, collection) records refreshed.
     pub fn pull_once(&self, now: SimTime) -> usize {
-        let hosts: Vec<Arc<dyn HostObject>> = self.hosts.read().clone();
+        let hosts = self.hosts.read();
+        let fabric = self.fabric.read();
+        let forecaster = self.forecaster.read();
+        let mut targets = self.targets.write();
         let mut refreshed = 0;
-        for host in hosts {
+        for host in hosts.iter() {
             // A crashed host answers no pulls: its records simply stop
             // refreshing and age out via `Collection::evict_stale`.
             if host.is_crashed() {
@@ -151,62 +127,45 @@ impl DataCollectionDaemon {
             // one: the pull silently fails and the record stops
             // refreshing, so planners see staleness instead of a
             // confidently wrong load figure.
-            if let Some(f) = self.fabric.read().as_ref() {
+            if let Some(f) = fabric.as_ref() {
                 if f.is_partitioned(f.domain_of(self.loid), f.domain_of(loid)) {
                     continue;
                 }
             }
             let attrs = host.attributes();
-            if let Some(f) = self.forecaster.read().as_ref() {
+            if let Some(f) = forecaster.as_ref() {
                 if let Some(load) = attrs.get_f64(well_known::LOAD) {
                     f.observe(loid, load);
                 }
             }
-            let digest = attrs_digest(&attrs);
-            let mut targets = self.targets.write();
             for t in targets.iter_mut() {
-                match t.credentials.get(&loid) {
+                let pushed = match t.credentials.get(&loid) {
                     // Unchanged snapshot: bump freshness only. No index
                     // rewrite, and push mirrors get a Touch delta
                     // instead of the full attribute set.
-                    Some((cred, last)) if *last == digest => {
-                        match t.collection.touch(cred, now) {
-                            Ok(()) => refreshed += 1,
-                            Err(legion_core::LegionError::NoSuchObject(_)) => {
-                                // TTL-evicted while unreachable — re-join.
-                                let cred = t.collection.join_with(loid, attrs.clone(), now);
-                                t.credentials.insert(loid, (cred, digest));
-                                refreshed += 1;
-                            }
-                            Err(_) => {}
+                    Some((cred, last)) if *last == attrs => t.collection.touch(cred, now),
+                    // Replace wholesale: the pull model snapshots state.
+                    Some((cred, _)) => t.collection.replace(cred, attrs.clone(), now),
+                    None => Err(LegionError::NoSuchObject(loid)),
+                };
+                match pushed {
+                    Ok(()) => {
+                        if let Some(entry) = t.credentials.get_mut(&loid) {
+                            entry.1 = attrs.clone();
                         }
                     }
-                    Some((cred, _)) => {
-                        // Replace wholesale: the pull model snapshots
-                        // state. A missing record means the member was
-                        // TTL-evicted while unreachable — re-join.
-                        match t.collection.replace(cred, attrs.clone(), now) {
-                            Ok(()) => {
-                                t.credentials.get_mut(&loid).unwrap().1 = digest;
-                                refreshed += 1;
-                            }
-                            Err(legion_core::LegionError::NoSuchObject(_)) => {
-                                let cred = t.collection.join_with(loid, attrs.clone(), now);
-                                t.credentials.insert(loid, (cred, digest));
-                                refreshed += 1;
-                            }
-                            Err(_) => {}
-                        }
-                    }
-                    None => {
+                    // First contact, or the record was TTL-evicted while
+                    // the host was unreachable: (re-)join.
+                    Err(LegionError::NoSuchObject(_)) => {
                         let cred = t.collection.join_with(loid, attrs.clone(), now);
-                        t.credentials.insert(loid, (cred, digest));
-                        refreshed += 1;
+                        t.credentials.insert(loid, (cred, attrs.clone()));
                     }
+                    Err(_) => continue,
                 }
+                refreshed += 1;
             }
         }
-        *self.pulls.write() += 1;
+        self.pulls.fetch_add(1, Ordering::Relaxed);
         refreshed
     }
 }
@@ -324,11 +283,15 @@ mod tests {
         d.track_host(h.clone());
 
         assert_eq!(d.pull_once(SimTime::ZERO), 1); // join → Upsert
-        assert_eq!(d.pull_once(SimTime::from_secs(5)), 1); // no change → Touch
-        // Background load shifts: the next snapshot digests differently.
+        // An idle reassess republishes an equal snapshot → Touch.
+        let before = h.attributes();
+        h.reassess(SimTime::from_secs(5));
+        assert_eq!(h.attributes(), before);
+        assert_eq!(d.pull_once(SimTime::from_secs(5)), 1);
+        // Background load shifts: the next snapshot differs → Upsert.
         h.set_background_load(legion_hosts::BackgroundLoad::steady(0.7));
         h.reassess(SimTime::from_secs(10));
-        assert_eq!(d.pull_once(SimTime::from_secs(10)), 1); // change → Upsert
+        assert_eq!(d.pull_once(SimTime::from_secs(10)), 1);
 
         let DeltaBatch::Ops(ops) = c.deltas_since(0) else { panic!("expected ops") };
         let kinds: Vec<_> = ops

@@ -24,7 +24,10 @@
 //!
 //! Indexes are maintained incrementally on join/update/replace/leave/
 //! evict under the same lock as the record map (one such pair per
-//! shard), so they can never drift from the records. Lookups return
+//! shard), so they can never drift from the records. Every change goes
+//! through [`AttributeIndexes::update`], a name-ordered diff of the old
+//! and new attributes, so a refresh that moves only `host_load` touches
+//! only the `host_load` buckets. Lookups return
 //! **sorted member vectors** so conjunct candidate sets intersect by
 //! linear merge before any residual filter runs. Every lookup is
 //! *superset-correct* for its predicate; several (equality, ranges,
@@ -213,80 +216,141 @@ impl AttributeIndexes {
 
     /// Indexes every attribute of `member`'s record.
     pub fn insert(&mut self, member: Loid, attrs: &AttributeDb) {
-        for (name, value) in attrs.iter() {
-            self.presence.entry(name.to_string()).or_default().insert(member);
-            match value {
-                AttrValue::Str(s) => {
-                    let si = self.strings.entry(name.to_string()).or_default();
-                    let bucket = si.by_val.entry(s.clone()).or_default();
-                    if bucket.is_empty() {
-                        si.trigrams.add_value(s);
-                    }
-                    if bucket.insert(member) {
-                        si.total += 1;
-                    }
-                }
-                AttrValue::Int(_) | AttrValue::Float(_) => {
-                    if let Some(key) = value.as_f64().and_then(NumKey::new) {
-                        let ni = self.numbers.entry(name.to_string()).or_default();
-                        if ni.by_val.entry(key).or_default().insert(member) {
-                            ni.total += 1;
-                        }
-                    }
-                }
-                // Bools and lists are only findable via `exists()`;
-                // comparisons on them fall back to the scan path.
-                AttrValue::Bool(_) | AttrValue::List(_) => {}
-            }
-        }
+        self.update(member, &AttributeDb::new(), attrs);
     }
 
     /// Un-indexes every attribute of `member`'s record (the exact
     /// `attrs` previously passed to [`Self::insert`]).
     pub fn remove(&mut self, member: Loid, attrs: &AttributeDb) {
-        for (name, value) in attrs.iter() {
-            if let Some(set) = self.presence.get_mut(name) {
-                set.remove(&member);
-                if set.is_empty() {
-                    self.presence.remove(name);
+        self.update(member, attrs, &AttributeDb::new());
+    }
+
+    /// Re-indexes `member` from `old` (its currently indexed
+    /// attributes) to `new`, by a merge over the two name-ordered
+    /// attribute lists: only added, removed and changed attributes
+    /// touch an index. A changed value moves between value buckets but
+    /// keeps its presence entry; an identical value costs one
+    /// comparison.
+    pub fn update(&mut self, member: Loid, old: &AttributeDb, new: &AttributeDb) {
+        if old == new {
+            return;
+        }
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let (mut olds, mut news) = (old.iter().peekable(), new.iter().peekable());
+        loop {
+            let order = match (olds.peek(), news.peek()) {
+                (None, None) => break,
+                (Some(_), None) => Less,
+                (None, Some(_)) => Greater,
+                (Some((on, _)), Some((nn, _))) => on.cmp(nn),
+            };
+            let (old, new) = match order {
+                Less => (olds.next(), None),
+                Greater => (None, news.next()),
+                Equal => (olds.next(), news.next()),
+            };
+            match (old, new) {
+                (Some((name, ov)), Some((_, nv))) => {
+                    if !ov.identical(nv) {
+                        self.drop_value(name, ov, member);
+                        self.add_value(name, nv, member);
+                    }
+                }
+                (Some((name, ov)), None) => {
+                    self.drop_presence(name, member);
+                    self.drop_value(name, ov, member);
+                }
+                (None, Some((name, nv))) => {
+                    self.add_presence(name, member);
+                    self.add_value(name, nv, member);
+                }
+                (None, None) => unreachable!("one side advanced"),
+            }
+        }
+    }
+
+    fn add_presence(&mut self, name: &str, member: Loid) {
+        self.presence.entry(name.to_string()).or_default().insert(member);
+    }
+
+    fn drop_presence(&mut self, name: &str, member: Loid) {
+        if let Some(set) = self.presence.get_mut(name) {
+            set.remove(&member);
+            if set.is_empty() {
+                self.presence.remove(name);
+            }
+        }
+    }
+
+    /// Adds `member` to the value index of attribute `name`.
+    fn add_value(&mut self, name: &str, value: &AttrValue, member: Loid) {
+        match value {
+            AttrValue::Str(s) => {
+                let si = self.strings.entry(name.to_string()).or_default();
+                let bucket = match si.by_val.get_mut(s.as_str()) {
+                    Some(bucket) => bucket,
+                    None => {
+                        si.trigrams.add_value(s);
+                        si.by_val.entry(s.clone()).or_default()
+                    }
+                };
+                if bucket.insert(member) {
+                    si.total += 1;
                 }
             }
-            match value {
-                AttrValue::Str(s) => {
-                    if let Some(si) = self.strings.get_mut(name) {
-                        if let Some(bucket) = si.by_val.get_mut(s) {
+            AttrValue::Int(_) | AttrValue::Float(_) => {
+                if let Some(key) = value.as_f64().and_then(NumKey::new) {
+                    let ni = self.numbers.entry(name.to_string()).or_default();
+                    if ni.by_val.entry(key).or_default().insert(member) {
+                        ni.total += 1;
+                    }
+                }
+            }
+            // Bools and lists are only findable via `exists()`;
+            // comparisons on them fall back to the scan path.
+            AttrValue::Bool(_) | AttrValue::List(_) => {}
+        }
+    }
+
+    /// Removes `member` from the value index of attribute `name`,
+    /// pruning emptied buckets (and the trigrams of a value whose last
+    /// member left).
+    fn drop_value(&mut self, name: &str, value: &AttrValue, member: Loid) {
+        match value {
+            AttrValue::Str(s) => {
+                if let Some(si) = self.strings.get_mut(name) {
+                    if let Some(bucket) = si.by_val.get_mut(s.as_str()) {
+                        if bucket.remove(&member) {
+                            si.total -= 1;
+                        }
+                        if bucket.is_empty() {
+                            si.by_val.remove(s.as_str());
+                            si.trigrams.remove_value(s);
+                        }
+                    }
+                    if si.by_val.is_empty() {
+                        self.strings.remove(name);
+                    }
+                }
+            }
+            AttrValue::Int(_) | AttrValue::Float(_) => {
+                if let Some(key) = value.as_f64().and_then(NumKey::new) {
+                    if let Some(ni) = self.numbers.get_mut(name) {
+                        if let Some(bucket) = ni.by_val.get_mut(&key) {
                             if bucket.remove(&member) {
-                                si.total -= 1;
+                                ni.total -= 1;
                             }
                             if bucket.is_empty() {
-                                si.by_val.remove(s);
-                                si.trigrams.remove_value(s);
+                                ni.by_val.remove(&key);
                             }
                         }
-                        if si.by_val.is_empty() {
-                            self.strings.remove(name);
-                        }
-                    }
-                }
-                AttrValue::Int(_) | AttrValue::Float(_) => {
-                    if let Some(key) = value.as_f64().and_then(NumKey::new) {
-                        if let Some(ni) = self.numbers.get_mut(name) {
-                            if let Some(bucket) = ni.by_val.get_mut(&key) {
-                                if bucket.remove(&member) {
-                                    ni.total -= 1;
-                                }
-                                if bucket.is_empty() {
-                                    ni.by_val.remove(&key);
-                                }
-                            }
-                            if ni.by_val.is_empty() {
-                                self.numbers.remove(name);
-                            }
+                        if ni.by_val.is_empty() {
+                            self.numbers.remove(name);
                         }
                     }
                 }
-                AttrValue::Bool(_) | AttrValue::List(_) => {}
             }
+            AttrValue::Bool(_) | AttrValue::List(_) => {}
         }
     }
 
@@ -582,6 +646,34 @@ mod tests {
         idx.remove(l(3), &AttributeDb::new().with("os", "IRIX64").with("mem", 512i64));
         assert_eq!(idx.lookup_str_contains("os", "IRIX"), Vec::<Loid>::new());
         assert_eq!(idx.lookup_str_contains("os", "inux"), ls(&[2]));
+    }
+
+    #[test]
+    fn update_reindexes_only_what_changed() {
+        let mut idx = sample();
+        let old = AttributeDb::new().with("os", "IRIX").with("load", 0.2).with("up", true);
+        // Move member 3 onto member 1's string value, then member 1 off
+        // it: the shared bucket and its trigrams must survive.
+        idx.update(
+            l(3),
+            &AttributeDb::new().with("os", "IRIX64").with("mem", 512i64),
+            &AttributeDb::new().with("os", "IRIX").with("mem", 512i64),
+        );
+        let mut new = old.clone().with("os", "Linux").with("load", 1i64);
+        new.remove("up");
+        idx.update(l(1), &old, &new);
+        assert_eq!(idx.lookup_str_eq("os", "IRIX"), ls(&[3]));
+        assert_eq!(idx.lookup_str_contains("os", "RIX"), ls(&[3]));
+        assert_eq!(idx.lookup_str_contains("os", "IX6"), Vec::<Loid>::new());
+        assert_eq!(idx.lookup_str_eq("os", "Linux"), ls(&[1, 2]));
+        assert_eq!(idx.lookup_exists("os"), ls(&[1, 2, 3]));
+        assert_eq!(idx.lookup_exists("up"), Vec::<Loid>::new());
+        // Int(1) replaces Float(0.2): same numeric index, new bucket.
+        assert_eq!(
+            idx.lookup_num_range("load", Bound::Included(1.0), Bound::Included(1.0)),
+            ls(&[1])
+        );
+        assert_eq!(idx.count_num_range("load", Bound::Unbounded, Bound::Unbounded, CAP), 2);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! *identical* to the naive full scan — same members, same order, same
 //! (possibly derived-extended) attribute views — across randomized
 //! record sets, query ASTs, derived attributes, and interleaved
-//! join/update/replace/leave/evict sequences.
+//! join/update/replace/leave/evict sequences — including small-diff
+//! replaces that change, retype or drop a single attribute, which
+//! exercise the per-attribute re-indexing path.
 //!
 //! The engine's safety argument is that index lookups only ever
 //! over-approximate and the full query is re-evaluated per candidate;
@@ -49,6 +51,22 @@ fn arb_value() -> impl Strategy<Value = AttrValue> {
     ]
 }
 
+/// Values that are equal, or nearly so, under some comparison but not
+/// identical: `Int(1)`/`Float(1.0)`, the two zeros, NaN, and a string
+/// other members share (so its bucket must survive one member leaving
+/// it).
+fn arb_edge_value() -> impl Strategy<Value = AttrValue> {
+    prop_oneof![
+        Just(AttrValue::Int(1)),
+        Just(AttrValue::Float(1.0)),
+        Just(AttrValue::Int(0)),
+        Just(AttrValue::Float(0.0)),
+        Just(AttrValue::Float(-0.0)),
+        Just(AttrValue::Float(f64::NAN)),
+        Just(AttrValue::Str("IRIX".to_string())),
+    ]
+}
+
 fn arb_db() -> impl Strategy<Value = AttributeDb> {
     proptest::collection::vec((arb_name(), arb_value()), 0..5).prop_map(|pairs| {
         let mut db = AttributeDb::new();
@@ -67,6 +85,12 @@ enum Op {
     Replace(u64, AttributeDb),
     Leave(u64),
     EvictStale(u64),
+    /// Replace with the current record, one attribute set (or added).
+    ReplaceOne(u64, String, AttrValue),
+    /// Update (merge) a single attribute.
+    UpdateOne(u64, String, AttrValue),
+    /// Replace with the current record minus one attribute.
+    DropOne(u64, String),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -78,7 +102,39 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (seq.clone(), arb_db()).prop_map(|(s, db)| Op::Replace(s, db)),
         seq.clone().prop_map(Op::Leave),
         (1u64..8).prop_map(Op::EvictStale),
+        arb_small_diff(),
     ]
+}
+
+/// A single-attribute change to a (possibly) existing member.
+fn arb_small_diff() -> impl Strategy<Value = Op> {
+    let seq = 0u64..12;
+    prop_oneof![
+        (seq.clone(), arb_name(), prop_oneof![arb_edge_value(), arb_value()])
+            .prop_map(|(s, a, v)| Op::ReplaceOne(s, a, v)),
+        (seq.clone(), arb_name(), arb_edge_value()).prop_map(|(s, a, v)| Op::UpdateOne(s, a, v)),
+        (seq.clone(), arb_name()).prop_map(|(s, a)| Op::DropOne(s, a)),
+    ]
+}
+
+/// A fixed battery of indexable probes over every attribute name:
+/// presence, string equality (shared and unshared values), prefix and
+/// substring matches, and numeric equality/ranges around the edge
+/// values.
+fn probe_queries() -> Vec<String> {
+    let mut out = Vec::new();
+    for a in ["os", "load", "mem", "tag"] {
+        out.push(format!("exists(${a})"));
+        out.push(format!(r#"${a} == "IRIX""#));
+        out.push(format!(r#"${a} == "Linux""#));
+        out.push(format!(r#"match("^IRIX", ${a})"#));
+        out.push(format!(r#"match("RIX", ${a})"#));
+        out.push(format!("${a} == 0"));
+        out.push(format!("${a} == 1"));
+        out.push(format!("${a} < 0.5"));
+        out.push(format!("${a} >= 0.5"));
+    }
+    out
 }
 
 /// Indexable and residual terms, mixed: string equality (both operand
@@ -113,6 +169,8 @@ fn arb_term() -> impl Strategy<Value = String> {
         )
             .prop_map(|(a, op, n)| format!("${a} {op} {n}")),
         (arb_name(), -2.0f64..2.0).prop_map(|(a, x)| format!("${a} < {x:.2}")),
+        (arb_name(), prop_oneof![Just("0.0"), Just("-0.0"), Just("1.0"), Just("1")])
+            .prop_map(|(a, x)| format!("${a} == {x}")),
         (-2.0f64..2.0, arb_name()).prop_map(|(x, a)| format!("{x:.2} <= ${a}")),
         arb_name().prop_map(|a| format!("exists(${a})")),
         Just("exists($derived_load)".to_string()),
@@ -146,31 +204,50 @@ fn loid(seq: u64) -> Loid {
 /// credentials so update/replace/leave stay authenticated.
 fn apply_ops(c: &Collection, ops: &[Op]) {
     let mut creds: BTreeMap<u64, MemberCredential> = BTreeMap::new();
-    let mut now = SimTime::ZERO;
-    for op in ops {
-        now += SimDuration::from_secs(1);
-        match op {
-            Op::Join(s, db) => {
-                let cred = c.join_with(loid(*s), db.clone(), now);
-                creds.insert(*s, cred);
+    for (i, op) in ops.iter().enumerate() {
+        apply_op(c, &mut creds, SimTime::from_secs(i as u64 + 1), op);
+    }
+}
+
+fn apply_op(c: &Collection, creds: &mut BTreeMap<u64, MemberCredential>, now: SimTime, op: &Op) {
+    match op {
+        Op::Join(s, db) => {
+            let cred = c.join_with(loid(*s), db.clone(), now);
+            creds.insert(*s, cred);
+        }
+        Op::Update(s, db) => {
+            if let Some(cred) = creds.get(s) {
+                let _ = c.update(cred, db, now);
             }
-            Op::Update(s, db) => {
-                if let Some(cred) = creds.get(s) {
-                    let _ = c.update(cred, db, now);
-                }
+        }
+        Op::Replace(s, db) => {
+            if let Some(cred) = creds.get(s) {
+                let _ = c.replace(cred, db.clone(), now);
             }
-            Op::Replace(s, db) => {
-                if let Some(cred) = creds.get(s) {
-                    let _ = c.replace(cred, db.clone(), now);
-                }
+        }
+        Op::Leave(s) => {
+            if let Some(cred) = creds.get(s) {
+                let _ = c.leave(cred);
             }
-            Op::Leave(s) => {
-                if let Some(cred) = creds.get(s) {
-                    let _ = c.leave(cred);
-                }
+        }
+        Op::EvictStale(ttl) => {
+            let _ = c.evict_stale(now, SimDuration::from_secs(*ttl));
+        }
+        Op::ReplaceOne(s, name, value) => {
+            if let (Some(cred), Some(rec)) = (creds.get(s), c.get(loid(*s))) {
+                let _ = c.replace(cred, rec.attrs.clone().with(name.clone(), value.clone()), now);
             }
-            Op::EvictStale(ttl) => {
-                let _ = c.evict_stale(now, SimDuration::from_secs(*ttl));
+        }
+        Op::UpdateOne(s, name, value) => {
+            if let Some(cred) = creds.get(s) {
+                let _ = c.update(cred, &AttributeDb::new().with(name.clone(), value.clone()), now);
+            }
+        }
+        Op::DropOne(s, name) => {
+            if let (Some(cred), Some(rec)) = (creds.get(s), c.get(loid(*s))) {
+                let mut attrs = rec.attrs.clone();
+                attrs.remove(name);
+                let _ = c.replace(cred, attrs, now);
             }
         }
     }
@@ -235,6 +312,31 @@ proptest! {
         for (ops, query) in &rounds {
             apply_ops(&c, ops);
             assert_equivalent(&c, query)?;
+        }
+    }
+
+    /// Small diffs over a populated collection: every member joins,
+    /// then single attributes are set, retyped, merged and dropped, and
+    /// after every change each indexable probe agrees with the scan —
+    /// so a bucket, trigram or presence entry left behind (or dropped
+    /// too early) by the per-attribute re-index shows up at once.
+    #[test]
+    fn small_diffs_keep_indexes_exact(
+        base in proptest::collection::vec(arb_db(), 12),
+        diffs in proptest::collection::vec(arb_small_diff(), 1..20),
+    ) {
+        let c = Collection::new(7);
+        let mut creds = BTreeMap::new();
+        let joins = base.into_iter().enumerate().map(|(i, db)| Op::Join(i as u64, db));
+        let ops: Vec<Op> = joins.chain(diffs).collect();
+        let probes = probe_queries();
+        for (i, op) in ops.iter().enumerate() {
+            apply_op(&c, &mut creds, SimTime::from_secs(i as u64 + 1), op);
+            if i + 1 >= 12 {
+                for query in &probes {
+                    assert_equivalent(&c, query)?;
+                }
+            }
         }
     }
 

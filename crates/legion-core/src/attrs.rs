@@ -13,6 +13,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single attribute value.
 ///
@@ -72,6 +73,21 @@ impl AttrValue {
         match self {
             AttrValue::List(l) => Some(l),
             _ => None,
+        }
+    }
+
+    /// Exact identity: same kind and same contents, floats compared by
+    /// bit pattern (so `NaN` is identical to itself and `0.0` is not
+    /// identical to `-0.0`). Unlike `==`, this is an equivalence
+    /// relation, which is what change detection needs.
+    pub fn identical(&self, other: &AttrValue) -> bool {
+        use AttrValue::*;
+        match (self, other) {
+            (Float(a), Float(b)) => a.to_bits() == b.to_bits(),
+            (List(a), List(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.identical(y))
+            }
+            _ => self == other,
         }
     }
 
@@ -159,9 +175,29 @@ impl<T: Into<AttrValue>> From<Vec<T>> for AttrValue {
 ///
 /// Backed by a `BTreeMap` so iteration order (and therefore Collection
 /// record serialization and experiment output) is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The map is shared copy-on-write: cloning a database bumps a
+/// reference count, and a mutator copies the map only while another
+/// clone still shares it. A host's snapshot, the daemon's last-pushed
+/// copy, the Collection record and a delta-log entry can therefore all
+/// be one allocation.
+///
+/// Equality is exact ([`AttrValue::identical`] per value) and answers
+/// from pointer identity when both sides share one map.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AttributeDb {
-    entries: BTreeMap<String, AttrValue>,
+    entries: Arc<BTreeMap<String, AttrValue>>,
+}
+
+impl PartialEq for AttributeDb {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.entries, &other.entries)
+            || (self.len() == other.len()
+                && self
+                    .iter()
+                    .zip(other.iter())
+                    .all(|((an, av), (bn, bv))| an == bn && av.identical(bv)))
+    }
 }
 
 impl AttributeDb {
@@ -172,7 +208,15 @@ impl AttributeDb {
 
     /// Sets an attribute, returning the previous value if any.
     pub fn set(&mut self, name: impl Into<String>, value: impl Into<AttrValue>) -> Option<AttrValue> {
-        self.entries.insert(name.into(), value.into())
+        Arc::make_mut(&mut self.entries).insert(name.into(), value.into())
+    }
+
+    /// Sets an attribute only if its value is not already identical,
+    /// so an unchanged value never unshares the map.
+    pub fn set_if_changed(&mut self, name: &str, value: AttrValue) {
+        if !self.get(name).is_some_and(|old| old.identical(&value)) {
+            self.set(name, value);
+        }
     }
 
     /// Builder-style set.
@@ -188,7 +232,10 @@ impl AttributeDb {
 
     /// Removes an attribute.
     pub fn remove(&mut self, name: &str) -> Option<AttrValue> {
-        self.entries.remove(name)
+        if !self.contains(name) {
+            return None;
+        }
+        Arc::make_mut(&mut self.entries).remove(name)
     }
 
     /// Whether the attribute exists.
@@ -215,7 +262,7 @@ impl AttributeDb {
     /// "UpdateCollectionEntry" merges fresh host state over the record).
     pub fn merge_from(&mut self, other: &AttributeDb) {
         for (k, v) in other.iter() {
-            self.entries.insert(k.to_string(), v.clone());
+            self.set_if_changed(k, v.clone());
         }
     }
 
@@ -242,7 +289,7 @@ impl AttributeDb {
 
 impl FromIterator<(String, AttrValue)> for AttributeDb {
     fn from_iter<T: IntoIterator<Item = (String, AttrValue)>>(iter: T) -> Self {
-        AttributeDb { entries: iter.into_iter().collect() }
+        AttributeDb { entries: Arc::new(iter.into_iter().collect()) }
     }
 }
 
@@ -299,6 +346,48 @@ mod tests {
         a.merge_from(&b);
         assert_eq!(a.get_i64("y"), Some(9));
         assert_eq!(a.get_i64("z"), Some(3));
+        assert_eq!(a.get_i64("x"), Some(1));
+    }
+
+    #[test]
+    fn mutating_a_clone_never_shows_in_the_original() {
+        let original = AttributeDb::new().with("x", 1i64).with("s", "a");
+        let mut set = original.clone();
+        set.set("x", 2i64);
+        let mut removed = original.clone();
+        assert_eq!(removed.remove("s"), Some(AttrValue::from("a")));
+        assert_eq!(removed.remove("missing"), None);
+        let mut merged = original.clone();
+        merged.merge_from(&AttributeDb::new().with("y", true));
+
+        assert_eq!(original, AttributeDb::new().with("x", 1i64).with("s", "a"));
+        assert_eq!(set.get_i64("x"), Some(2));
+        assert!(!removed.contains("s"));
+        assert_eq!(merged.get_bool("y"), Some(true));
+    }
+
+    #[test]
+    fn equality_is_exact_across_shared_and_unshared_copies() {
+        let a = AttributeDb::new().with("load", 0.5).with("nan", f64::NAN).with("n", 1i64);
+        let shared = a.clone();
+        let rebuilt = AttributeDb::new().with("n", 1i64).with("nan", f64::NAN).with("load", 0.5);
+        assert_eq!(a, shared);
+        assert_eq!(a, rebuilt, "NaN is identical to itself");
+        // Semantically equal but not identical values differ.
+        assert_ne!(a, rebuilt.clone().with("n", 1.0));
+        assert_ne!(AttributeDb::new().with("z", 0.0), AttributeDb::new().with("z", -0.0));
+    }
+
+    #[test]
+    fn unchanged_writes_keep_the_map_shared() {
+        let a = AttributeDb::new().with("x", 1i64);
+        let mut b = a.clone();
+        b.set_if_changed("x", AttrValue::Int(1));
+        assert!(Arc::ptr_eq(&a.entries, &b.entries));
+        b.merge_from(&AttributeDb::new().with("x", 1i64));
+        assert!(Arc::ptr_eq(&a.entries, &b.entries));
+        b.set_if_changed("x", AttrValue::Float(1.0));
+        assert!(!Arc::ptr_eq(&a.entries, &b.entries));
         assert_eq!(a.get_i64("x"), Some(1));
     }
 

@@ -111,6 +111,13 @@ struct RunningObject {
     token_serial: u64,
 }
 
+/// The published attribute snapshot plus the vault scan its
+/// `COMPATIBLE_VAULTS` list was rendered from.
+struct AttrCache {
+    attrs: AttributeDb,
+    vaults: Vec<Loid>,
+}
+
 struct TriggerEntry {
     trigger: Trigger,
     last_fired: Option<SimTime>,
@@ -120,7 +127,6 @@ struct TriggerEntry {
 pub struct StandardHost {
     loid: Loid,
     config: HostConfig,
-    flavor: &'static str,
     table: Mutex<ReservationTable>,
     running: RwLock<BTreeMap<Loid, RunningObject>>,
     policies: RwLock<Vec<Arc<dyn LocalPolicy>>>,
@@ -129,7 +135,7 @@ pub struct StandardHost {
     outcalls: RwLock<Vec<Arc<dyn Outcall>>>,
     vaults: Arc<dyn VaultDirectory>,
     load: Mutex<BackgroundLoad>,
-    attrs_cache: RwLock<AttributeDb>,
+    attrs_cache: RwLock<AttrCache>,
     metrics: RwLock<Option<Arc<MetricsLedger>>>,
     tracer: RwLock<Option<Arc<TraceSink>>>,
     draining: std::sync::atomic::AtomicBool,
@@ -156,9 +162,23 @@ impl StandardHost {
         let capacity =
             TableCapacity { cpu_centis: config.ncpus * 100, memory_mb: config.memory_mb };
         let secret = legion_core::hash::mix64(seed ^ loid.digest());
+        // Configuration facts never change: render them once. The
+        // dynamic attributes are filled in by the first refresh below.
+        let attrs = AttributeDb::new()
+            .with("host_name", config.name.as_str())
+            .with(well_known::DOMAIN, config.domain.as_str())
+            .with(well_known::ARCH, config.arch.as_str())
+            .with(well_known::OS_NAME, config.os_name.as_str())
+            .with(well_known::OS_VERSION, config.os_version.as_str())
+            .with(well_known::NCPUS, config.ncpus as i64)
+            .with(well_known::MEMORY_MB, config.memory_mb as i64)
+            .with(well_known::PRICE_PER_CPU_SEC, config.price_per_cpu_sec as i64)
+            .with(well_known::WILLINGNESS, config.willingness)
+            .with(well_known::FLAVOR, "unix")
+            .with(well_known::COMPATIBLE_VAULTS, AttrValue::List(Vec::new()))
+            .with("host_loid", loid.to_string());
         let host = StandardHost {
             loid,
-            flavor: "unix",
             table: Mutex::new(ReservationTable::new(loid, secret, capacity)),
             running: RwLock::new(BTreeMap::new()),
             policies: RwLock::new(vec![Arc::new(AcceptAll)]),
@@ -167,7 +187,7 @@ impl StandardHost {
             outcalls: RwLock::new(Vec::new()),
             vaults,
             load: Mutex::new(BackgroundLoad::steady(0.0)),
-            attrs_cache: RwLock::new(AttributeDb::new()),
+            attrs_cache: RwLock::new(AttrCache { attrs, vaults: Vec::new() }),
             metrics: RwLock::new(None),
             tracer: RwLock::new(None),
             draining: std::sync::atomic::AtomicBool::new(false),
@@ -259,37 +279,31 @@ impl StandardHost {
         (cpu, mem)
     }
 
-    /// Recomputes the attribute cache; returns the fresh snapshot.
+    /// Refreshes the dynamic attributes in the cached snapshot and
+    /// returns it. Only values that differ are written, so a host whose
+    /// state did not move hands back the very snapshot it published
+    /// last time (a shared copy-on-write map); the vault list is
+    /// re-rendered only when the scan finds a different vault set.
     fn refresh_attrs(&self, now: SimTime) -> AttributeDb {
         let bg = self.load.lock().current(now);
         let (cpu, mem) = self.legion_demand();
         let load = bg + cpu as f64 / 100.0;
         let free_mem = self.config.memory_mb.saturating_sub(mem);
         let running_count = self.running.read().len() as i64;
-        let vault_list: Vec<AttrValue> = self
-            .compatible_vault_scan()
-            .into_iter()
-            .map(|l| AttrValue::Str(l.to_string()))
-            .collect();
-        let attrs = AttributeDb::new()
-            .with("host_name", self.config.name.as_str())
-            .with(well_known::DOMAIN, self.config.domain.as_str())
-            .with(well_known::ARCH, self.config.arch.as_str())
-            .with(well_known::OS_NAME, self.config.os_name.as_str())
-            .with(well_known::OS_VERSION, self.config.os_version.as_str())
-            .with(well_known::NCPUS, self.config.ncpus as i64)
-            .with(well_known::MEMORY_MB, self.config.memory_mb as i64)
-            .with(well_known::FREE_MEMORY_MB, free_mem as i64)
-            .with(well_known::LOAD, load)
-            .with(well_known::PRICE_PER_CPU_SEC, self.config.price_per_cpu_sec as i64)
-            .with(well_known::WILLINGNESS, self.config.willingness)
-            .with(well_known::FLAVOR, self.flavor)
-            .with("host_draining", self.is_draining())
-            .with(well_known::RUNNING_OBJECTS, running_count)
-            .with(well_known::COMPATIBLE_VAULTS, AttrValue::List(vault_list))
-            .with("host_loid", self.loid.to_string());
-        *self.attrs_cache.write() = attrs.clone();
-        attrs
+        let vaults = self.compatible_vault_scan();
+        let mut cache = self.attrs_cache.write();
+        let cache = &mut *cache;
+        if cache.vaults != vaults {
+            let list = vaults.iter().map(|l| AttrValue::Str(l.to_string())).collect();
+            cache.attrs.set(well_known::COMPATIBLE_VAULTS, AttrValue::List(list));
+            cache.vaults = vaults;
+        }
+        let attrs = &mut cache.attrs;
+        attrs.set_if_changed(well_known::FREE_MEMORY_MB, AttrValue::Int(free_mem as i64));
+        attrs.set_if_changed(well_known::LOAD, AttrValue::Float(load));
+        attrs.set_if_changed("host_draining", AttrValue::Bool(self.is_draining()));
+        attrs.set_if_changed(well_known::RUNNING_OBJECTS, AttrValue::Int(running_count));
+        attrs.clone()
     }
 
     /// Scans the vault directory for compatible vaults (uses config-level
@@ -338,7 +352,7 @@ impl HostObject for StandardHost {
             .vaults
             .lookup_vault(req.vault)
             .ok_or(LegionError::VaultUnreachable { host: self.loid, vault: req.vault })?;
-        let attrs = self.attrs_cache.read().clone();
+        let attrs = self.attributes();
         if !vault.compatible_with_host(&attrs) {
             self.bump(|m| MetricsLedger::bump(&m.reservations_denied));
             return Err(LegionError::VaultIncompatible { host: self.loid, vault: req.vault });
@@ -572,11 +586,11 @@ impl HostObject for StandardHost {
         }
         self.vaults
             .lookup_vault(vault)
-            .is_some_and(|v| v.compatible_with_host(&self.attrs_cache.read()))
+            .is_some_and(|v| v.compatible_with_host(&self.attrs_cache.read().attrs))
     }
 
     fn attributes(&self) -> AttributeDb {
-        self.attrs_cache.read().clone()
+        self.attrs_cache.read().attrs.clone()
     }
 
     fn register_trigger(&self, trigger: Trigger) -> TriggerId {

@@ -88,6 +88,28 @@ fn compatible_vaults_reflect_directory_growth() {
 }
 
 #[test]
+fn late_vaults_appear_in_attributes_on_next_reassess() {
+    // The attribute cache reuses its rendered vault list while the scan
+    // is unchanged; a vault registered after the host must still show.
+    let (dir, host, vault, _) = setup();
+    let listed = |h: &StandardHost| -> Vec<String> {
+        h.attributes()
+            .get(well_known::COMPATIBLE_VAULTS)
+            .and_then(|v| v.as_list())
+            .unwrap()
+            .iter()
+            .map(|v| v.as_str().unwrap().to_string())
+            .collect()
+    };
+    assert_eq!(listed(&host), vec![vault.to_string()]);
+    let late = dir.add(VaultConfig { name: "late".into(), ..Default::default() });
+    host.reassess(SimTime::from_secs(5));
+    let mut want = [vault, late];
+    want.sort();
+    assert_eq!(listed(&host), want.iter().map(Loid::to_string).collect::<Vec<_>>());
+}
+
+#[test]
 fn start_object_rejects_wrong_class_spec() {
     let (_, host, vault, class) = setup();
     let other = Loid::synthetic(LoidKind::Class, 2);
