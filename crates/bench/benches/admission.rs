@@ -18,7 +18,6 @@
 //! `BENCH_admission.json` at the repo root. Run quick (CI smoke):
 //! `cargo bench -p legion-bench --bench admission -- --quick`.
 
-use legion::core::Loid;
 use legion::ingress::{ClassPolicy, PriorityClass};
 use legion::prelude::*;
 use legion::trace::SpanKind;
@@ -39,16 +38,10 @@ fn scenario(scale: f64) -> IngressSimConfig {
     cfg.rate_scaled(scale)
 }
 
-fn run(cfg: &IngressSimConfig, guard: &legion::core::ReplayGuard) -> IngressSimReport {
-    guard.rebase(1 << 40);
-    run_ingress_sim(cfg).expect("admission sim run")
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var("BENCH_QUICK").is_ok_and(|v| v == "1");
     let timing_runs = if quick { 2 } else { 6 };
-    let guard = Loid::replay_guard();
 
     // The deterministic arrival-rate sweep: same population, same seed,
     // rates scaled 1x / 2x / 4x.
@@ -58,7 +51,7 @@ fn main() {
     for &scale in &scales {
         let cfg = scenario(scale);
         let start = Instant::now();
-        let report = run(&cfg, &guard);
+        let report = run_ingress_sim(&cfg).expect("admission sim run");
         if scale == 1.0 {
             wall_ms.push(start.elapsed().as_millis() as u64);
         }
@@ -71,7 +64,7 @@ fn main() {
     for _ in 1..timing_runs {
         let cfg = scenario(1.0);
         let start = Instant::now();
-        let rerun = run(&cfg, &guard);
+        let rerun = run_ingress_sim(&cfg).expect("admission sim run");
         wall_ms.push(start.elapsed().as_millis() as u64);
         assert_eq!(rerun.stats, base.stats, "nondeterministic event schedule");
         assert_eq!(rerun.metrics, base.metrics, "nondeterministic ledger");

@@ -22,7 +22,7 @@ use std::time::Instant;
 /// exactly 1% of hosts so equality on it is the selective case the
 /// acceptance criteria measure.
 fn synthetic_collection(n: usize) -> Arc<Collection> {
-    let c = Collection::new(9);
+    let c = Collection::new(Loid::synthetic(LoidKind::Service, 9), 9);
     for i in 0..n {
         let os = if i % 100 == 0 {
             "HPUX"

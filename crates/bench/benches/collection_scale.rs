@@ -22,7 +22,7 @@ use std::time::Instant;
 /// paper's `IRIX and 5.x` conjunction selects ~3% — selective enough to
 /// showcase the index, populous enough that the result set is real.
 fn synthetic_collection(n: usize) -> Arc<Collection> {
-    let c = Collection::new(9);
+    let c = Collection::new(Loid::synthetic(LoidKind::Service, 9), 9);
     for i in 0..n {
         let os = if i % 100 == 0 {
             "HPUX"

@@ -8,7 +8,7 @@ use legion::core::{AttrValue, AttributeDb, Loid, LoidKind, SimTime};
 
 /// A synthetic collection of `n` host-shaped records.
 fn synthetic_collection(n: usize) -> std::sync::Arc<Collection> {
-    let c = Collection::new(9);
+    let c = Collection::new(Loid::synthetic(LoidKind::Service, 9), 9);
     for i in 0..n {
         let attrs = AttributeDb::new()
             .with("host_name", format!("h{i}"))

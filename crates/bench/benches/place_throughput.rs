@@ -196,7 +196,7 @@ fn cached_steady(
     // The scheduled-over population is synthetic: `records` member
     // descriptions in a dedicated Collection (the testbed only provides
     // the fabric and the registered class).
-    let collection = Collection::new(0x57EAD);
+    let collection = Collection::new(tb.fabric.mint(LoidKind::Service), 0x57EAD);
     collection.enable_deltas(16_384);
     let vault = tb.vault_loids[0];
     let creds: Vec<MemberCredential> = (0..records)

@@ -36,9 +36,8 @@ fn bench(c: &mut Criterion) {
     g.bench_function("start_then_kill_object", |b| {
         b.iter(|| {
             let tok = host.make_reservation(&req, tb.fabric.clock().now()).expect("grant");
-            let started = host
-                .start_object(&tok, &[ObjectSpec::new(class)], tb.fabric.clock().now())
-                .expect("start");
+            let spec = ObjectSpec::new(class, tb.fabric.mint(LoidKind::Instance));
+            let started = host.start_object(&tok, &[spec], tb.fabric.clock().now()).expect("start");
             host.kill_object(started[0]).expect("kill");
         });
     });
@@ -47,7 +46,7 @@ fn bench(c: &mut Criterion) {
         // exhaust the host's memory before the routine frees any.
         b.iter_batched(
             || {
-                let mut spec = ObjectSpec::new(class);
+                let mut spec = ObjectSpec::new(class, tb.fabric.mint(LoidKind::Instance));
                 spec.memory_mb = 1;
                 let tok =
                     host.make_reservation(&req, tb.fabric.clock().now()).expect("grant");

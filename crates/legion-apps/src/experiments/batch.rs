@@ -2,7 +2,7 @@
 
 use crate::table::Table;
 use crate::testbed::{Testbed, TestbedConfig};
-use legion_core::{HostObject, ObjectSpec, ReservationRequest, SimDuration};
+use legion_core::{HostObject, LoidKind, ObjectSpec, ReservationRequest, SimDuration};
 
 /// E-X5: each simulated queue discipline (LoadLeveler-, Condor- and
 /// Codine-like) receives a burst of 16 half-CPU jobs through the Legion
@@ -49,7 +49,8 @@ pub fn e_x5_batch_queues() -> Table {
             match bq.make_reservation(&req, tb.fabric.clock().now()) {
                 Ok(tok) => {
                     granted += 1;
-                    bq.start_object(&tok, &[ObjectSpec::new(class)], tb.fabric.clock().now())
+                    let spec = ObjectSpec::new(class, tb.fabric.mint(LoidKind::Instance));
+                    bq.start_object(&tok, &[spec], tb.fabric.clock().now())
                         .expect("start under granted reservation");
                 }
                 Err(_) => denied += 1,

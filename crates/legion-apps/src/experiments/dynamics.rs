@@ -5,7 +5,7 @@ use crate::table::Table;
 use crate::testbed::{LoadRegime, Testbed, TestbedConfig};
 use legion_core::host::well_known;
 use legion_core::{
-    HostObject, ObjectSpec, PlacementRequest, ReservationRequest, SimDuration,
+    HostObject, LoidKind, ObjectSpec, PlacementRequest, ReservationRequest, SimDuration,
 };
 use legion_monitor::Rebalancer;
 use legion_schedulers::{LoadAwareScheduler, Scheduler};
@@ -91,9 +91,8 @@ pub fn e_x2_migration() -> Table {
                 ReservationRequest::instantaneous(class, vault, SimDuration::from_secs(1 << 20))
                     .with_demand(15, 64);
             let tok = h0.make_reservation(&req, tb.fabric.clock().now()).unwrap();
-            let started = h0
-                .start_object(&tok, &[ObjectSpec::new(class)], tb.fabric.clock().now())
-                .unwrap();
+            let spec = ObjectSpec::new(class, tb.fabric.mint(LoidKind::Instance));
+            let started = h0.start_object(&tok, &[spec], tb.fabric.clock().now()).unwrap();
             if let Some(c) = tb.fabric.lookup_class(class) {
                 c.note_instance_location(started[0], h0.loid());
             }

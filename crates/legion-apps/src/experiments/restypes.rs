@@ -3,7 +3,7 @@
 use crate::table::Table;
 use crate::testbed::{Testbed, TestbedConfig};
 use legion_core::{
-    HostObject, ObjectSpec, ReservationRequest, ReservationType, SimDuration, SimTime,
+    HostObject, LoidKind, ObjectSpec, ReservationRequest, ReservationType, SimDuration, SimTime,
 };
 
 /// E-T2: on a 4-CPU host, stream 8 half-CPU reservation requests of
@@ -46,10 +46,10 @@ pub fn e_t2_reservation_types() -> Table {
 
         // Confirm the first token twice.
         let second_start = if let Some(tok) = granted.first() {
-            let spec = ObjectSpec::new(class);
-            host.start_object(tok, std::slice::from_ref(&spec), SimTime::from_secs(1))
+            let spec = || ObjectSpec::new(class, tb.fabric.mint(LoidKind::Instance));
+            host.start_object(tok, &[spec()], SimTime::from_secs(1))
                 .expect("first start under a fresh token");
-            match host.start_object(tok, &[spec], SimTime::from_secs(2)) {
+            match host.start_object(tok, &[spec()], SimTime::from_secs(2)) {
                 Ok(_) => "accepted (reusable)",
                 Err(_) => "rejected (one-shot)",
             }

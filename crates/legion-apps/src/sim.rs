@@ -21,7 +21,8 @@
 
 use crate::testbed::{Testbed, TestbedConfig};
 use legion_core::{
-    HostObject, Loid, ObjectSpec, PlacementRequest, ReservationRequest, SimDuration, SimTime,
+    HostObject, Loid, LoidKind, ObjectSpec, PlacementRequest, ReservationRequest, SimDuration,
+    SimTime,
 };
 use legion_fabric::{FaultAction, FaultCounts, FaultPlan, MetricsSnapshot, SimError, SimHandle};
 use legion_monitor::{RebalanceConfig, Rebalancer, SweepReport, Watchdog};
@@ -357,7 +358,7 @@ pub fn run_rebalance_sim(seed: u64, sweeps: usize) -> Result<SimRebalanceReport,
                     let obj = legion_core::HostObject::start_object(
                         &**host,
                         &tok,
-                        &[ObjectSpec::new(class)],
+                        &[ObjectSpec::new(class, tb_fabric.mint(LoidKind::Instance))],
                         now,
                     )
                     .expect("pile-on start")[0];

@@ -7,7 +7,7 @@
 
 use legion_collection::{Collection, DataCollectionDaemon, LoadForecaster};
 use legion_core::{
-    ClassObject, HostObject, LegionClass, Loid, ObjectImplementation, SimDuration,
+    ClassObject, HostObject, LegionClass, Loid, LoidKind, ObjectImplementation, SimDuration,
 };
 use legion_fabric::{DomainId, DomainTopology, Fabric};
 use legion_hosts::{
@@ -127,11 +127,14 @@ impl Testbed {
 
         for d in 0..config.domains {
             let domain = format!("site{d}.edu");
-            let vault = Arc::new(StandardVault::new(VaultConfig {
-                name: format!("vault-{d}"),
-                domain: domain.clone(),
-                ..Default::default()
-            }));
+            let vault = Arc::new(StandardVault::new(
+                fabric.mint(LoidKind::Vault),
+                VaultConfig {
+                    name: format!("vault-{d}"),
+                    domain: domain.clone(),
+                    ..Default::default()
+                },
+            ));
             vault_loids.push(legion_core::VaultObject::loid(&*vault));
             fabric.register_vault(vault, DomainId(d as u16));
 
@@ -143,7 +146,8 @@ impl Testbed {
                 } else {
                     cfg
                 };
-                let h = StandardHost::new(cfg, fabric.clone(), config.seed ^ (host_seq << 8));
+                let loid = fabric.mint(LoidKind::Host);
+                let h = StandardHost::new(loid, cfg, fabric.clone(), config.seed ^ (host_seq << 8));
                 h.set_metrics(Arc::clone(fabric.metrics()));
                 h.set_tracer(Arc::clone(fabric.tracer()));
                 if let LoadRegime::Ar1 { mean } = config.load {
@@ -201,10 +205,11 @@ impl Testbed {
         }
 
         // Populate the Collection via the pull daemon, with forecasting.
-        let collection = Collection::new(config.seed ^ 0x5EED);
+        let collection = Collection::new(fabric.mint(LoidKind::Service), config.seed ^ 0x5EED);
         collection.set_metrics(Arc::clone(fabric.metrics()));
         collection.set_tracer(Arc::clone(fabric.tracer()));
-        let daemon = DataCollectionDaemon::new(Arc::clone(&collection));
+        let daemon =
+            DataCollectionDaemon::new(fabric.mint(LoidKind::Service), Arc::clone(&collection));
         daemon.attach_fabric(Arc::clone(&fabric));
         let forecaster = LoadForecaster::new(48);
         daemon.feed_forecaster(Arc::clone(&forecaster));
@@ -243,8 +248,9 @@ impl Testbed {
         cpu_centis: u32,
         memory_mb: u32,
     ) -> Loid {
+        let implementations = vec![ObjectImplementation::new("mips", "IRIX")];
         let class = Arc::new(
-            LegionClass::new(name, vec![ObjectImplementation::new("mips", "IRIX")])
+            LegionClass::new(self.fabric.mint(LoidKind::Class), name, implementations)
                 .with_demand(cpu_centis, memory_mb),
         );
         let loid = class.loid();

@@ -36,7 +36,7 @@ use crate::planner;
 use crate::query::{parse_query, Query};
 use crate::record::CollectionRecord;
 use legion_core::hash::KeyedTag;
-use legion_core::{AttrValue, AttributeDb, LegionError, Loid, LoidKind, SimTime, SpanKind};
+use legion_core::{AttrValue, AttributeDb, LegionError, Loid, SimTime, SpanKind};
 use legion_fabric::MetricsLedger;
 use legion_trace::TraceSink;
 use parking_lot::{Mutex, RwLock};
@@ -134,10 +134,11 @@ pub struct MemberCredential {
 ///
 /// ```
 /// use legion_collection::Collection;
-/// use legion_core::{AttributeDb, Loid, LoidKind, SimTime};
+/// use legion_core::{AttributeDb, LoidKind, LoidMinter, SimTime};
 ///
-/// let c = Collection::new(42);
-/// let host = Loid::fresh(LoidKind::Host);
+/// let loids = LoidMinter::new(1);
+/// let c = Collection::new(loids.mint(LoidKind::Service), 42);
+/// let host = loids.mint(LoidKind::Host);
 /// let cred = c.join_with(
 ///     host,
 ///     AttributeDb::new()
@@ -180,19 +181,19 @@ pub struct Collection {
 }
 
 impl Collection {
-    /// An empty collection whose credentials derive from `secret`, with
-    /// the default shard count.
-    pub fn new(secret: u64) -> Arc<Self> {
-        Self::with_shards(secret, DEFAULT_SHARDS)
+    /// An empty collection named `loid` whose credentials derive from
+    /// `secret`, with the default shard count.
+    pub fn new(loid: Loid, secret: u64) -> Arc<Self> {
+        Self::with_shards(loid, secret, DEFAULT_SHARDS)
     }
 
     /// An empty collection with an explicit shard count (≥ 1). Shard
     /// count is a pure concurrency/scaling knob: results of every
     /// operation are bit-identical across counts.
-    pub fn with_shards(secret: u64, shards: usize) -> Arc<Self> {
+    pub fn with_shards(loid: Loid, secret: u64, shards: usize) -> Arc<Self> {
         let shards = shards.max(1);
         Arc::new(Collection {
-            loid: Loid::fresh(LoidKind::Service),
+            loid,
             secret,
             shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
             derived: RwLock::new(Vec::new()),
@@ -800,9 +801,18 @@ fn eval_record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legion_core::LoidKind;
 
     fn host_attrs(os: &str, load: f64) -> AttributeDb {
         AttributeDb::new().with("host_os_name", os).with("host_load", load)
+    }
+
+    fn service() -> Loid {
+        Loid::synthetic(LoidKind::Service, 1)
+    }
+
+    fn coll() -> Arc<Collection> {
+        Collection::new(service(), 42)
     }
 
     fn l(seq: u64) -> Loid {
@@ -811,7 +821,7 @@ mod tests {
 
     #[test]
     fn join_query_roundtrip() {
-        let c = Collection::new(42);
+        let c = coll();
         c.join_with(l(1), host_attrs("IRIX", 0.2), SimTime::ZERO);
         c.join_with(l(2), host_attrs("Linux", 0.9), SimTime::ZERO);
         let rs = c.query(r#"match($host_os_name, "IRIX")"#).unwrap();
@@ -821,7 +831,7 @@ mod tests {
 
     #[test]
     fn update_requires_credential() {
-        let c = Collection::new(42);
+        let c = coll();
         let cred = c.join_with(l(1), host_attrs("IRIX", 0.2), SimTime::ZERO);
         // Forged credential (wrong tag) is rejected.
         let forged = MemberCredential { member: l(1), tag: cred.tag ^ 1 };
@@ -840,7 +850,7 @@ mod tests {
 
     #[test]
     fn credential_does_not_transfer_between_members() {
-        let c = Collection::new(42);
+        let c = coll();
         let cred1 = c.join(l(1), SimTime::ZERO);
         c.join(l(2), SimTime::ZERO);
         let cross = MemberCredential { member: l(2), tag: cred1.tag };
@@ -852,7 +862,7 @@ mod tests {
 
     #[test]
     fn leave_removes_record() {
-        let c = Collection::new(42);
+        let c = coll();
         let cred = c.join(l(1), SimTime::ZERO);
         assert_eq!(c.len(), 1);
         c.leave(&cred).unwrap();
@@ -862,13 +872,13 @@ mod tests {
 
     #[test]
     fn bad_query_is_reported() {
-        let c = Collection::new(42);
+        let c = coll();
         assert!(matches!(c.query("$a >"), Err(LegionError::BadQuery(_))));
     }
 
     #[test]
     fn staleness_tracked() {
-        let c = Collection::new(42);
+        let c = coll();
         let cred = c.join(l(1), SimTime::ZERO);
         c.replace(&cred, AttributeDb::new(), SimTime::from_secs(10)).unwrap();
         assert_eq!(
@@ -880,7 +890,7 @@ mod tests {
     #[test]
     fn stale_records_age_out() {
         use legion_core::SimDuration;
-        let c = Collection::new(42);
+        let c = coll();
         let cred1 = c.join_with(l(1), host_attrs("IRIX", 0.2), SimTime::ZERO);
         c.join_with(l(2), host_attrs("Linux", 0.5), SimTime::ZERO);
         // Only member 1 keeps reporting.
@@ -896,7 +906,7 @@ mod tests {
 
     #[test]
     fn derived_attributes_visible_to_queries() {
-        let c = Collection::new(42);
+        let c = coll();
         c.join_with(l(1), host_attrs("IRIX", 0.4), SimTime::ZERO);
         c.install_function(DerivedAttribute::new("host_load_doubled", |_, attrs| {
             attrs.get_f64("host_load").map(|v| AttrValue::Float(v * 2.0))
@@ -909,7 +919,7 @@ mod tests {
 
     #[test]
     fn touch_bumps_freshness_without_changing_attrs() {
-        let c = Collection::new(42);
+        let c = coll();
         let cred = c.join_with(l(1), host_attrs("IRIX", 0.2), SimTime::ZERO);
         c.touch(&cred, SimTime::from_secs(9)).unwrap();
         let rec = c.get(l(1)).unwrap();
@@ -937,7 +947,7 @@ mod tests {
             "not exists($gpu)",
         ];
         let collections: Vec<_> =
-            [1usize, 2, 8].iter().map(|&n| Collection::with_shards(42, n)).collect();
+            [1usize, 2, 8].iter().map(|&n| Collection::with_shards(service(), 42, n)).collect();
         for c in &collections {
             for i in 0..20u64 {
                 c.join_with(
@@ -960,7 +970,7 @@ mod tests {
     #[test]
     fn delta_log_records_membership_changes() {
         use crate::delta::{DeltaBatch, DeltaOp};
-        let c = Collection::new(42);
+        let c = coll();
         c.enable_deltas(16);
         let cred = c.join_with(l(1), host_attrs("IRIX", 0.2), SimTime::ZERO);
         c.touch(&cred, SimTime::from_secs(1)).unwrap();

@@ -27,7 +27,7 @@
 use crate::collection::{Collection, MemberCredential};
 use crate::inject::LoadForecaster;
 use legion_core::host::well_known;
-use legion_core::{AttributeDb, HostObject, LegionError, Loid, LoidKind, SimTime};
+use legion_core::{AttributeDb, HostObject, LegionError, Loid, SimTime};
 use legion_fabric::Fabric;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -52,10 +52,10 @@ pub struct DataCollectionDaemon {
 }
 
 impl DataCollectionDaemon {
-    /// A daemon feeding `collection`.
-    pub fn new(collection: Arc<Collection>) -> Arc<Self> {
+    /// The daemon `loid` feeding `collection`.
+    pub fn new(loid: Loid, collection: Arc<Collection>) -> Arc<Self> {
         let d = Arc::new(DataCollectionDaemon {
-            loid: Loid::fresh(LoidKind::Service),
+            loid,
             targets: RwLock::new(Vec::new()),
             hosts: RwLock::new(Vec::new()),
             forecaster: RwLock::new(None),
@@ -174,7 +174,21 @@ impl DataCollectionDaemon {
 mod tests {
     use super::*;
     use legion_core::{VaultDirectory, VaultObject};
+    use legion_core::LoidKind;
     use legion_hosts::{HostConfig, StandardHost};
+
+    fn collection(secret: u64) -> Arc<Collection> {
+        Collection::new(Loid::synthetic(LoidKind::Service, secret), secret)
+    }
+
+    fn daemon(collection: &Arc<Collection>) -> Arc<DataCollectionDaemon> {
+        DataCollectionDaemon::new(Loid::synthetic(LoidKind::Service, 99), Arc::clone(collection))
+    }
+
+    fn host(name: &str, seq: u64) -> Arc<StandardHost> {
+        let config = HostConfig::unix(name, "uva.edu");
+        StandardHost::new(Loid::synthetic(LoidKind::Host, seq), config, Arc::new(EmptyDir), seq)
+    }
 
     #[derive(Default)]
     struct EmptyDir;
@@ -191,9 +205,9 @@ mod tests {
 
     #[test]
     fn pull_joins_then_replaces() {
-        let c = Collection::new(7);
-        let d = DataCollectionDaemon::new(Arc::clone(&c));
-        let h = StandardHost::new(HostConfig::unix("h0", "uva.edu"), Arc::new(EmptyDir), 1);
+        let c = collection(7);
+        let d = daemon(&c);
+        let h = host("h0", 1);
         d.track_host(h.clone());
 
         assert_eq!(d.pull_once(SimTime::ZERO), 1);
@@ -211,9 +225,9 @@ mod tests {
 
     #[test]
     fn forecaster_gets_fed() {
-        let c = Collection::new(7);
-        let d = DataCollectionDaemon::new(Arc::clone(&c));
-        let h = StandardHost::new(HostConfig::unix("h0", "uva.edu"), Arc::new(EmptyDir), 1);
+        let c = collection(7);
+        let d = daemon(&c);
+        let h = host("h0", 1);
         d.track_host(h.clone());
         let f = LoadForecaster::new(4);
         d.feed_forecaster(Arc::clone(&f));
@@ -225,13 +239,13 @@ mod tests {
     #[test]
     fn multiple_collections_all_receive_snapshots() {
         // "deposit information into its known Collection(s)" — plural.
-        let primary = Collection::new(1);
-        let secondary = Collection::new(2);
-        let d = DataCollectionDaemon::new(Arc::clone(&primary));
+        let primary = collection(1);
+        let secondary = collection(2);
+        let d = daemon(&primary);
         d.add_collection(Arc::clone(&secondary));
         assert_eq!(d.collection_count(), 2);
 
-        let h = StandardHost::new(HostConfig::unix("h0", "uva.edu"), Arc::new(EmptyDir), 1);
+        let h = host("h0", 1);
         d.track_host(h.clone());
         assert_eq!(d.pull_once(SimTime::ZERO), 2, "one record per target");
         assert_eq!(primary.len(), 1);
@@ -247,10 +261,10 @@ mod tests {
     #[test]
     fn crashed_hosts_are_skipped_and_age_out() {
         use legion_core::SimDuration;
-        let c = Collection::new(7);
-        let d = DataCollectionDaemon::new(Arc::clone(&c));
-        let h0 = StandardHost::new(HostConfig::unix("h0", "uva.edu"), Arc::new(EmptyDir), 1);
-        let h1 = StandardHost::new(HostConfig::unix("h1", "uva.edu"), Arc::new(EmptyDir), 2);
+        let c = collection(7);
+        let d = daemon(&c);
+        let h0 = host("h0", 1);
+        let h1 = host("h1", 2);
         d.track_host(h0.clone());
         d.track_host(h1.clone());
         assert_eq!(d.pull_once(SimTime::ZERO), 2);
@@ -276,10 +290,10 @@ mod tests {
     #[test]
     fn unchanged_hosts_are_touched_not_replaced() {
         use crate::delta::{DeltaBatch, DeltaOp};
-        let c = Collection::new(7);
+        let c = collection(7);
         c.enable_deltas(64);
-        let d = DataCollectionDaemon::new(Arc::clone(&c));
-        let h = StandardHost::new(HostConfig::unix("h0", "uva.edu"), Arc::new(EmptyDir), 1);
+        let d = daemon(&c);
+        let h = host("h0", 1);
         d.track_host(h.clone());
 
         assert_eq!(d.pull_once(SimTime::ZERO), 1); // join → Upsert
@@ -309,13 +323,13 @@ mod tests {
 
     #[test]
     fn late_added_collection_joins_on_next_sweep() {
-        let primary = Collection::new(1);
-        let d = DataCollectionDaemon::new(Arc::clone(&primary));
-        let h = StandardHost::new(HostConfig::unix("h0", "uva.edu"), Arc::new(EmptyDir), 1);
+        let primary = collection(1);
+        let d = daemon(&primary);
+        let h = host("h0", 1);
         d.track_host(h.clone());
         d.pull_once(SimTime::ZERO);
 
-        let late = Collection::new(3);
+        let late = collection(3);
         d.add_collection(Arc::clone(&late));
         assert!(late.is_empty());
         d.pull_once(SimTime::from_secs(1));

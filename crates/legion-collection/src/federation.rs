@@ -102,14 +102,15 @@ impl FederatedCollection {
     /// atomic snapshot and thereafter applies only deltas on each
     /// [`Self::push_sync`]. Queries against the federation hit the
     /// mirror, never the (possibly remote, possibly partitioned)
-    /// source. Returns the mirror so callers can place it in a fabric
-    /// domain or run TTL eviction on it.
+    /// source. The mirror is named `mirror`; it is returned so callers
+    /// can place it in a fabric domain or run TTL eviction on it.
     pub fn add_push_member(
         &self,
         label: impl Into<String>,
         source: Arc<Collection>,
+        mirror: Loid,
     ) -> Arc<Collection> {
-        let mirror = Collection::new(source.loid().digest());
+        let mirror = Collection::new(mirror, source.loid().digest());
         let (records, seq) = source.snapshot_with_seq();
         mirror.replace_all(records);
         self.members.write().push((label.into(), Arc::clone(&mirror)));
@@ -262,7 +263,7 @@ mod tests {
     use legion_core::{AttributeDb, LoidKind, SimTime};
 
     fn domain_collection(domain: &str, hosts: u64, base_seq: u64) -> Arc<Collection> {
-        let c = Collection::new(base_seq);
+        let c = Collection::new(Loid::synthetic(LoidKind::Service, base_seq), base_seq);
         for i in 0..hosts {
             c.join_with(
                 Loid::synthetic(LoidKind::Host, base_seq + i),
@@ -329,7 +330,7 @@ mod tests {
 
     #[test]
     fn push_member_mirrors_incrementally() {
-        let source = Collection::new(7);
+        let source = Collection::new(Loid::synthetic(LoidKind::Service, 7), 7);
         source.enable_deltas(64);
         let c1 = source.join_with(
             Loid::synthetic(LoidKind::Host, 1),
@@ -337,7 +338,8 @@ mod tests {
             SimTime::ZERO,
         );
         let f = FederatedCollection::new();
-        let mirror = f.add_push_member("remote.edu", Arc::clone(&source));
+        let mirror_loid = Loid::synthetic(LoidKind::Service, 99);
+        let mirror = f.add_push_member("remote.edu", Arc::clone(&source), mirror_loid);
         // Initial snapshot already present, link up to date.
         assert_eq!(mirror.dump(), source.dump());
         assert_eq!(f.push_sync(), PushSyncReport { up_to_date: 1, ..Default::default() });
@@ -355,10 +357,11 @@ mod tests {
 
     #[test]
     fn push_member_gap_forces_full_resync() {
-        let source = Collection::new(7);
+        let source = Collection::new(Loid::synthetic(LoidKind::Service, 7), 7);
         source.enable_deltas(2); // tiny log: easy to overflow
         let f = FederatedCollection::new();
-        let mirror = f.add_push_member("remote.edu", Arc::clone(&source));
+        let mirror_loid = Loid::synthetic(LoidKind::Service, 99);
+        let mirror = f.add_push_member("remote.edu", Arc::clone(&source), mirror_loid);
         // More changes than the log retains → the link is gapped.
         for i in 0..10u64 {
             source.join_with(

@@ -14,6 +14,10 @@ fn host(seq: u64) -> Loid {
     Loid::synthetic(LoidKind::Host, seq)
 }
 
+fn service(seq: u64) -> Loid {
+    Loid::synthetic(LoidKind::Service, seq)
+}
+
 fn attrs(os: &str, load: f64) -> AttributeDb {
     AttributeDb::new().with("host_os_name", os).with("host_load", load)
 }
@@ -23,7 +27,7 @@ fn attrs(os: &str, load: f64) -> AttributeDb {
 /// that just did a fresh pull.
 #[test]
 fn dropped_deltas_force_resync_identical_to_fresh_pull() {
-    let source = Collection::new(11);
+    let source = Collection::new(service(11), 11);
     source.enable_deltas(4); // retains only the last 4 changes
     let mut creds = Vec::new();
     for i in 0..6u64 {
@@ -31,7 +35,7 @@ fn dropped_deltas_force_resync_identical_to_fresh_pull() {
     }
 
     let f = FederatedCollection::new();
-    let mirror = f.add_push_member("remote.edu", Arc::clone(&source));
+    let mirror = f.add_push_member("remote.edu", Arc::clone(&source), service(99));
     assert_eq!(mirror.dump(), source.dump());
 
     // Ten changes land while the mirror is not syncing: far more than
@@ -55,7 +59,7 @@ fn dropped_deltas_force_resync_identical_to_fresh_pull() {
     // from the current source state holds exactly the same records
     // (members, attributes, and both timestamps).
     let fresh = FederatedCollection::new();
-    let fresh_mirror = fresh.add_push_member("fresh.edu", Arc::clone(&source));
+    let fresh_mirror = fresh.add_push_member("fresh.edu", Arc::clone(&source), service(98));
     assert_eq!(mirror.dump(), fresh_mirror.dump());
     assert_eq!(mirror.dump(), source.dump());
 
@@ -76,13 +80,13 @@ fn partitioned_push_member_is_skipped_and_ages_out() {
         17,
     );
 
-    let source = Collection::new(11);
+    let source = Collection::new(service(11), 11);
     source.enable_deltas(64);
     let cred = source.join_with(host(1), attrs("IRIX", 0.2), SimTime::ZERO);
 
     let f = FederatedCollection::new();
     f.attach_fabric(Arc::clone(&fabric));
-    let mirror = f.add_push_member("far.edu", Arc::clone(&source));
+    let mirror = f.add_push_member("far.edu", Arc::clone(&source), service(99));
 
     // The source lives in domain 1, the mirror in domain 0.
     fabric.place(source.loid(), DomainId(1));

@@ -196,6 +196,10 @@ fn arb_query() -> impl Strategy<Value = String> {
     })
 }
 
+fn service() -> Loid {
+    Loid::synthetic(LoidKind::Service, 7)
+}
+
 fn loid(seq: u64) -> Loid {
     Loid::synthetic(LoidKind::Host, seq)
 }
@@ -274,7 +278,7 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 0..25),
         queries in proptest::collection::vec(arb_query(), 1..4),
     ) {
-        let c = Collection::new(7);
+        let c = Collection::new(service(), 7);
         apply_ops(&c, &ops);
         for query in &queries {
             assert_equivalent(&c, query)?;
@@ -289,7 +293,7 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 0..20),
         queries in proptest::collection::vec(arb_query(), 1..4),
     ) {
-        let c = Collection::new(7);
+        let c = Collection::new(service(), 7);
         c.install_function(DerivedAttribute::new("derived_load", |_, attrs| {
             attrs.get_f64("load").map(|v| AttrValue::Float(v + 1.0))
         }));
@@ -308,7 +312,7 @@ proptest! {
             1..5
         ),
     ) {
-        let c = Collection::new(7);
+        let c = Collection::new(service(), 7);
         for (ops, query) in &rounds {
             apply_ops(&c, ops);
             assert_equivalent(&c, query)?;
@@ -325,7 +329,7 @@ proptest! {
         base in proptest::collection::vec(arb_db(), 12),
         diffs in proptest::collection::vec(arb_small_diff(), 1..20),
     ) {
-        let c = Collection::new(7);
+        let c = Collection::new(service(), 7);
         let mut creds = BTreeMap::new();
         let joins = base.into_iter().enumerate().map(|(i, db)| Op::Join(i as u64, db));
         let ops: Vec<Op> = joins.chain(diffs).collect();
@@ -352,7 +356,7 @@ proptest! {
         ),
     ) {
         let collections: Vec<_> =
-            [1usize, 2, 8].iter().map(|&n| Collection::with_shards(7, n)).collect();
+            [1usize, 2, 8].iter().map(|&n| Collection::with_shards(service(), 7, n)).collect();
         for (ops, query) in &rounds {
             for c in &collections {
                 apply_ops(c, ops);
@@ -375,7 +379,7 @@ proptest! {
 /// must return correct results via the scan path (ISSUE acceptance).
 #[test]
 fn fallback_shapes_are_correct() {
-    let c = Collection::new(7);
+    let c = Collection::new(service(), 7);
     c.join_with(
         loid(1),
         AttributeDb::new().with("os", "IRIX").with("pat", "RI").with("load", 0.2),
@@ -420,7 +424,7 @@ fn fallback_shapes_are_correct() {
 /// (and updates copy-on-write instead of mutating shared state).
 #[test]
 fn query_results_are_stable_snapshots() {
-    let c = Collection::new(7);
+    let c = Collection::new(service(), 7);
     let cred = c.join_with(loid(1), AttributeDb::new().with("load", 0.2), SimTime::ZERO);
     let before = c.query("exists($load)").unwrap();
     assert_eq!(before[0].attrs.get_f64("load"), Some(0.2));

@@ -52,6 +52,9 @@ pub trait PlacementContext: Send + Sync {
 
     /// Current virtual time.
     fn now(&self) -> SimTime;
+
+    /// Names a new object from the run's LOID minter.
+    fn mint(&self, kind: LoidKind) -> Loid;
 }
 
 /// Static description of a class, readable by Schedulers (§3.3):
@@ -122,10 +125,14 @@ pub struct LegionClass {
 }
 
 impl LegionClass {
-    /// Creates a class with the given name and implementations.
-    pub fn new(name: impl Into<String>, implementations: Vec<ObjectImplementation>) -> Self {
+    /// Creates the class `loid` with the given name and implementations.
+    pub fn new(
+        loid: Loid,
+        name: impl Into<String>,
+        implementations: Vec<ObjectImplementation>,
+    ) -> Self {
         LegionClass {
-            loid: Loid::fresh(LoidKind::Class),
+            loid,
             name: name.into(),
             implementations,
             memory_mb: 64,
@@ -244,11 +251,9 @@ impl ClassObject for LegionClass {
             return Err(LegionError::NoUsableImplementation { class: self.loid });
         }
         let spec = ObjectSpec {
-            class: self.loid,
-            instance: Loid::fresh(LoidKind::Instance),
-            initial_state: Vec::new(),
             memory_mb: self.memory_mb,
             implementation,
+            ..ObjectSpec::new(self.loid, ctx.mint(LoidKind::Instance))
         };
         let started = host.start_object(&placement.token, std::slice::from_ref(&spec), ctx.now())?;
         let instance = *started.first().ok_or_else(|| {
@@ -288,9 +293,13 @@ impl ClassObject for LegionClass {
 mod tests {
     use super::*;
 
+    fn class(name: &str, implementations: Vec<ObjectImplementation>) -> LegionClass {
+        LegionClass::new(Loid::synthetic(LoidKind::Class, 1), name, implementations)
+    }
+
     #[test]
     fn report_carries_demand() {
-        let c = LegionClass::new("stencil", vec![ObjectImplementation::new("mips", "IRIX")])
+        let c = class("stencil", vec![ObjectImplementation::new("mips", "IRIX")])
             .with_demand(200, 256)
             .with_comm(4096);
         let r = c.report();
@@ -303,7 +312,7 @@ mod tests {
 
     #[test]
     fn implementation_match_uses_host_attrs() {
-        let c = LegionClass::new("x", vec![ObjectImplementation::new("mips", "IRIX")]);
+        let c = class("x", vec![ObjectImplementation::new("mips", "IRIX")]);
         let yes = AttributeDb::new()
             .with(crate::host::well_known::ARCH, "mips")
             .with(crate::host::well_known::OS_NAME, "IRIX");
@@ -316,7 +325,7 @@ mod tests {
 
     #[test]
     fn location_bookkeeping() {
-        let c = LegionClass::new("x", vec![]);
+        let c = class("x", vec![]);
         let i = Loid::synthetic(LoidKind::Instance, 1);
         let h1 = Loid::synthetic(LoidKind::Host, 1);
         let h2 = Loid::synthetic(LoidKind::Host, 2);

@@ -88,7 +88,7 @@ pub enum ReservationStatus {
 pub struct ObjectSpec {
     /// The class of the object (must match the reservation's class).
     pub class: Loid,
-    /// Pre-allocated LOID for the instance, or NIL to let the host mint.
+    /// The instance's LOID, named by whoever creates it (never NIL).
     pub instance: Loid,
     /// Initial state to place in the vault as the object's OPR seed.
     pub initial_state: Vec<u8>,
@@ -102,11 +102,11 @@ pub struct ObjectSpec {
 }
 
 impl ObjectSpec {
-    /// A spec with host-minted LOID and empty initial state.
-    pub fn new(class: Loid) -> Self {
+    /// A spec for `instance` of `class` with empty initial state.
+    pub fn new(class: Loid, instance: Loid) -> Self {
         ObjectSpec {
             class,
-            instance: Loid::NIL,
+            instance,
             initial_state: Vec::new(),
             memory_mb: 64,
             implementation: None,

@@ -41,7 +41,7 @@ pub use attrs::{AttrValue, AttributeDb};
 pub use class::{ClassObject, ClassReport, LegionClass, Placement, PlacementContext};
 pub use error::LegionError;
 pub use host::{well_known, HostObject, ObjectSpec, ReservationStatus};
-pub use loid::{Loid, LoidKind, ReplayGuard};
+pub use loid::{Loid, LoidKind, LoidMinter};
 pub use opr::Opr;
 pub use request::{ClassRequest, ObjectImplementation, PlacementRequest};
 pub use reservation::{ReservationRequest, ReservationToken, ReservationType, TokenMinter};

@@ -2,9 +2,10 @@
 //!
 //! Every Legion object has a location-independent name. A [`Loid`] here
 //! carries the kind of object it names (class, host, vault, instance or
-//! service object), a sequence number drawn from a global allocator, and
-//! a random disambiguator so identifiers from different testbeds do not
-//! collide.
+//! service object), a sequence number and a disambiguating nonce. Whoever
+//! creates an object names it from its run's [`LoidMinter`] — in a
+//! deployment, the fabric's — so identifiers depend on the run's seed and
+//! creation order, never on what else the process is doing.
 
 use crate::hash::mix64;
 use serde::{Deserialize, Serialize};
@@ -43,76 +44,44 @@ impl LoidKind {
 pub struct Loid {
     /// What kind of object this names.
     pub kind: LoidKind,
-    /// Monotonic sequence number (unique within a process).
+    /// Sequence number: the minting counter's value (unique within a lane).
     pub seq: u64,
-    /// Random disambiguator.
+    /// Disambiguator mixed from `seq` and the minting lane.
     pub nonce: u64,
 }
 
-static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
-
-/// Serialises replay-sensitive test runs against each other.
+/// Names the objects of one run: a `(lane, counter)` pair.
 ///
-/// [`Loid::fresh`] draws from a process-wide counter — the one piece of
-/// global state that leaks into trace exports (LOID strings appear in
-/// episode roots and span attributes). Tests that compare two runs
-/// byte-for-byte must hold a [`ReplayGuard`] so concurrent tests cannot
-/// interleave allocations, and must [`ReplayGuard::rebase`] the counter
-/// to the same lane before each run.
-static REPLAY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Exclusive license to manipulate the global LOID sequence counter.
-///
-/// Obtained from [`Loid::replay_guard`]; test harness use only. While a
-/// guard is held, no other thread holding (or waiting for) a guard can
-/// allocate interleaved sequence numbers.
-pub struct ReplayGuard {
-    _lock: std::sync::MutexGuard<'static, ()>,
+/// The lane is a per-run seed (a fabric derives it from its own seed);
+/// the counter numbers the objects the run creates, in creation order.
+/// Two runs on the same lane mint the same identifiers in the same
+/// order, whatever else runs beside them, and runs on different lanes
+/// never mint the same identifier: the nonce is a bijective mix of
+/// `seq ^ lane`, so equal sequence numbers on two lanes differ in it.
+#[derive(Debug)]
+pub struct LoidMinter {
+    lane: u64,
+    next: AtomicU64,
 }
 
-impl ReplayGuard {
-    /// Moves the global sequence counter to `base`, so a replayed run
-    /// allocates the same LOIDs as its reference run.
-    ///
-    /// Pick a lane far above anything organic (e.g. `1 << 40`) so the
-    /// rebase cannot collide with identifiers allocated by other tests
-    /// before the guard was taken.
-    pub fn rebase(&self, base: u64) {
-        NEXT_SEQ.store(base, Ordering::SeqCst);
+impl LoidMinter {
+    /// A minter on `lane` whose first identifier has sequence number 1.
+    pub fn new(lane: u64) -> Self {
+        LoidMinter { lane, next: AtomicU64::new(1) }
     }
 
-    /// The next sequence number the allocator will hand out.
-    pub fn next_seq(&self) -> u64 {
-        NEXT_SEQ.load(Ordering::SeqCst)
+    /// Names a new object of the given kind. Never [`Loid::NIL`]:
+    /// sequence numbers start at 1.
+    pub fn mint(&self, kind: LoidKind) -> Loid {
+        let seq = self.next.fetch_add(1, Ordering::Relaxed);
+        Loid { kind, seq, nonce: mix64(seq ^ self.lane) }
     }
 }
 
 impl Loid {
-    /// Allocates a fresh identifier of the given kind.
-    ///
-    /// Sequence numbers come from a process-wide counter; the nonce is a
-    /// mix of the sequence number so identifiers are deterministic within
-    /// a run but structurally unguessable across runs of the real system.
-    pub fn fresh(kind: LoidKind) -> Self {
-        let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
-        Loid { kind, seq, nonce: mix64(seq ^ 0x4C45_4749_4F4E_0001) }
-    }
-
     /// Builds a deterministic identifier, for testbed construction.
     pub fn synthetic(kind: LoidKind, seq: u64) -> Self {
         Loid { kind, seq, nonce: mix64(seq) }
-    }
-
-    /// Takes the process-wide replay lock (test harness only).
-    ///
-    /// Byte-identical replay tests rebase the global sequence counter
-    /// through the returned guard; holding it keeps unrelated tests from
-    /// interleaving allocations into the replayed lane. See
-    /// [`ReplayGuard`].
-    pub fn replay_guard() -> ReplayGuard {
-        ReplayGuard {
-            _lock: REPLAY_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()),
-        }
     }
 
     /// The nil identifier (names nothing).
@@ -174,10 +143,32 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    fn minted(lane: u64, n: usize) -> Vec<Loid> {
+        let m = LoidMinter::new(lane);
+        (0..n).map(|_| m.mint(LoidKind::Instance)).collect()
+    }
+
     #[test]
-    fn fresh_ids_are_unique() {
-        let ids: HashSet<Loid> = (0..1000).map(|_| Loid::fresh(LoidKind::Instance)).collect();
-        assert_eq!(ids.len(), 1000);
+    fn same_lane_mints_the_same_sequence() {
+        let a = minted(7, 1000);
+        assert_eq!(a, minted(7, 1000));
+        assert_eq!(a.iter().collect::<HashSet<_>>().len(), 1000);
+    }
+
+    #[test]
+    fn different_lanes_mint_disjoint_loids() {
+        let a: HashSet<Loid> = minted(7, 1000).into_iter().collect();
+        for lane in [0, 8, 7 << 40, u64::MAX] {
+            assert!(minted(lane, 1000).iter().all(|l| !a.contains(l)), "lane {lane:#x}");
+        }
+    }
+
+    #[test]
+    fn minter_never_mints_nil() {
+        for lane in [0, 1, u64::MAX] {
+            let m = LoidMinter::new(lane);
+            assert!((0..1000).map(|_| m.mint(LoidKind::Service)).all(|l| !l.is_nil()));
+        }
     }
 
     #[test]
@@ -189,7 +180,7 @@ mod tests {
     #[test]
     fn nil_detects() {
         assert!(Loid::NIL.is_nil());
-        assert!(!Loid::fresh(LoidKind::Class).is_nil());
+        assert!(!Loid::synthetic(LoidKind::Class, 1).is_nil());
     }
 
     #[test]
@@ -208,7 +199,7 @@ mod tests {
             LoidKind::Instance,
             LoidKind::Service,
         ] {
-            let l = Loid::fresh(kind);
+            let l = LoidMinter::new(3).mint(kind);
             let parsed: Loid = l.to_string().parse().unwrap();
             assert_eq!(parsed, l);
         }
@@ -232,7 +223,7 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let l = Loid::fresh(LoidKind::Vault);
+        let l = Loid::synthetic(LoidKind::Vault, 1);
         let json = serde_json_like(&l);
         assert!(json.contains("Vault"));
     }

@@ -196,13 +196,14 @@ impl ReservationToken {
 /// Mints and verifies reservation tokens under a host secret key.
 ///
 /// ```
-/// use legion_core::{Loid, LoidKind, ReservationRequest, SimDuration, SimTime, TokenMinter};
+/// use legion_core::{LoidKind, LoidMinter, ReservationRequest, SimDuration, SimTime, TokenMinter};
 ///
-/// let host = Loid::fresh(LoidKind::Host);
+/// let loids = LoidMinter::new(1);
+/// let host = loids.mint(LoidKind::Host);
 /// let mut minter = TokenMinter::new(host, 0xDEAD_BEEF);
 /// let req = ReservationRequest::instantaneous(
-///     Loid::fresh(LoidKind::Class),
-///     Loid::fresh(LoidKind::Vault),
+///     loids.mint(LoidKind::Class),
+///     loids.mint(LoidKind::Vault),
 ///     SimDuration::from_secs(3600), // an hour of CPU (the paper's example)
 /// );
 /// let token = minter.mint(&req, SimTime::ZERO, None);

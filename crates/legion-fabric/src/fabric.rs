@@ -6,8 +6,8 @@ use crate::faults::{FaultAction, FaultPlan};
 use crate::metrics::MetricsLedger;
 use crate::rng::DetRng;
 use legion_core::{
-    ClassObject, HostObject, LegionError, Loid, PlacementContext, SimDuration, SimTime,
-    SpanKind, VaultDirectory, VaultObject,
+    ClassObject, HostObject, LegionError, Loid, LoidKind, LoidMinter, PlacementContext,
+    SimDuration, SimTime, SpanKind, VaultDirectory, VaultObject,
 };
 use legion_trace::TraceSink;
 use parking_lot::{Mutex, RwLock};
@@ -37,6 +37,8 @@ pub struct Fabric {
     locations: RwLock<Arc<BTreeMap<Loid, DomainId>>>,
     metrics: Arc<MetricsLedger>,
     tracer: Arc<TraceSink>,
+    /// Names every object created in this run (lane derived from the seed).
+    loids: LoidMinter,
     rng: DetRng,
     link_rng: Mutex<SmallRng>,
     chaos: Mutex<Option<ChaosState>>,
@@ -80,6 +82,7 @@ impl Fabric {
             locations: RwLock::new(Arc::new(BTreeMap::new())),
             metrics: Arc::new(MetricsLedger::default()),
             tracer,
+            loids: LoidMinter::new(legion_core::hash::mix64(seed ^ 0x4C45_4749_4F4E_0001)),
             rng,
             link_rng,
             chaos: Mutex::new(None),
@@ -91,6 +94,12 @@ impl Fabric {
     /// A single-domain fabric with microsecond-scale local latency.
     pub fn local(seed: u64) -> Arc<Self> {
         Self::new(DomainTopology::single(SimDuration::from_micros(50)), seed)
+    }
+
+    /// Names a new object of this run. Same-seed fabrics mint the same
+    /// LOIDs in the same creation order.
+    pub fn mint(&self, kind: LoidKind) -> Loid {
+        self.loids.mint(kind)
     }
 
     // --- registry ---------------------------------------------------------
@@ -575,6 +584,10 @@ impl PlacementContext for Fabric {
     fn now(&self) -> SimTime {
         self.clock.now()
     }
+
+    fn mint(&self, kind: LoidKind) -> Loid {
+        self.loids.mint(kind)
+    }
 }
 
 impl VaultDirectory for Fabric {
@@ -590,7 +603,6 @@ impl VaultDirectory for Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legion_core::LoidKind;
 
     #[test]
     fn placement_and_domains() {
@@ -706,7 +718,7 @@ mod tests {
             DomainTopology::uniform(2, SimDuration::from_micros(100), SimDuration::from_millis(40)),
             7,
         );
-        let (a, b) = (Loid::fresh(LoidKind::Service), Loid::fresh(LoidKind::Service));
+        let (a, b) = (f.mint(LoidKind::Service), f.mint(LoidKind::Service));
         f.place(a, DomainId(0));
         f.place(b, DomainId(1));
         let plain = f.link(a, b).expect("lossless link");
@@ -793,7 +805,6 @@ mod tests {
 #[cfg(test)]
 mod stat_tests {
     use super::*;
-    use legion_core::LoidKind;
 
     #[test]
     fn loss_frequency_tracks_probability() {
@@ -850,7 +861,7 @@ mod stat_tests {
 
         impl StubHost {
             pub fn new() -> Self {
-                StubHost { loid: Loid::fresh(LoidKind::Host) }
+                StubHost { loid: Loid::synthetic(LoidKind::Host, 1) }
             }
         }
 

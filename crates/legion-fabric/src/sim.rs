@@ -37,9 +37,10 @@
 //! event schedule, the same trace export, and the same ledger, byte for
 //! byte, provided the scenario (a) draws randomness only from
 //! [`crate::DetRng`] streams, (b) schedules the same events in the same
-//! order, and (c) rebases the global LOID counter through
-//! `Loid::replay_guard` when exact identifier strings matter. Ties at
-//! one instant fire in scheduling order (the `seq` tie-break).
+//! order, and (c) names every object it creates from its fabric's LOID
+//! minter ([`crate::Fabric::mint`]), never from a minter another run
+//! shares. Ties at one instant fire in scheduling order (the `seq`
+//! tie-break).
 //!
 //! # Replay on failure
 //!

@@ -256,8 +256,8 @@ mod tests {
 
     impl MapDir {
         fn with_open_vault() -> (Arc<Self>, Loid) {
-            let v: Arc<dyn VaultObject> =
-                Arc::new(StandardVault::new(VaultConfig::default()));
+            let v = StandardVault::new(Loid::synthetic(LoidKind::Vault, 1), VaultConfig::default());
+            let v: Arc<dyn VaultObject> = Arc::new(v);
             let loid = v.loid();
             let mut d = MapDir::default();
             d.vaults.insert(loid, v);
@@ -277,7 +277,8 @@ mod tests {
 
     fn batch_host() -> (Arc<BatchQueueHost>, Loid) {
         let (dir, vault) = MapDir::with_open_vault();
-        let inner = StandardHost::new(HostConfig::smp("bq0", "uva.edu", 2), dir, 99);
+        let loid = Loid::synthetic(LoidKind::Host, 1);
+        let inner = StandardHost::new(loid, HostConfig::smp("bq0", "uva.edu", 2), dir, 99);
         (BatchQueueHost::new(inner, Box::new(FcfsQueue::new(2))), vault)
     }
 
@@ -289,9 +290,10 @@ mod tests {
         // the 2-slot queue is then the bottleneck: one job must wait.
         let req = ReservationRequest::instantaneous(class, vault, SimDuration::from_secs(10))
             .with_demand(50, 64);
-        for _ in 0..3 {
+        for i in 0..3 {
             let tok = h.make_reservation(&req, SimTime::ZERO).unwrap();
-            h.start_object(&tok, &[ObjectSpec::new(class)], SimTime::ZERO).unwrap();
+            let spec = ObjectSpec::new(class, Loid::synthetic(LoidKind::Instance, i));
+            h.start_object(&tok, &[spec], SimTime::ZERO).unwrap();
         }
         assert_eq!(h.running_objects().len(), 3);
         h.reassess(SimTime::ZERO); // queue starts 2 of 3

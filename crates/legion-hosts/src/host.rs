@@ -143,16 +143,11 @@ pub struct StandardHost {
 }
 
 impl StandardHost {
-    /// Creates a host guarding the configured machine.
+    /// Creates the host `loid` guarding the configured machine.
     ///
     /// `seed` derives the reservation-token secret; `vaults` resolves
     /// vault LOIDs (usually the fabric).
-    pub fn new(config: HostConfig, vaults: Arc<dyn VaultDirectory>, seed: u64) -> Arc<Self> {
-        Self::with_loid(Loid::fresh(LoidKind::Host), config, vaults, seed)
-    }
-
-    /// As [`StandardHost::new`] with a caller-chosen LOID.
-    pub fn with_loid(
+    pub fn new(
         loid: Loid,
         config: HostConfig,
         vaults: Arc<dyn VaultDirectory>,
@@ -414,6 +409,9 @@ impl HostObject for StandardHost {
             return Err(LegionError::Other("start_object with no specs".into()));
         }
         for s in specs {
+            if s.instance.is_nil() {
+                return Err(LegionError::MalformedSchedule("object spec names no instance".into()));
+            }
             if s.class != token.class {
                 return Err(LegionError::MalformedSchedule(format!(
                     "spec class {} does not match reservation class {}",
@@ -436,11 +434,7 @@ impl HostObject for StandardHost {
         {
             let mut running = self.running.write();
             for spec in specs {
-                let instance = if spec.instance.is_nil() {
-                    Loid::fresh(LoidKind::Instance)
-                } else {
-                    spec.instance
-                };
+                let instance = spec.instance;
                 // Checkpoint at birth (§2.1): seed the vault with an
                 // initial OPR so a Monitor can restart the object from
                 // passive state if this host fail-stops before its first

@@ -20,7 +20,8 @@ struct Dir {
 
 impl Dir {
     fn add(&self, config: VaultConfig) -> Loid {
-        let v: Arc<dyn VaultObject> = Arc::new(StandardVault::new(config));
+        let loid = Loid::synthetic(LoidKind::Vault, self.vaults.read().len() as u64 + 1);
+        let v: Arc<dyn VaultObject> = Arc::new(StandardVault::new(loid, config));
         let loid = v.loid();
         self.vaults.write().insert(loid, v);
         loid
@@ -41,12 +42,17 @@ fn setup() -> (Arc<Dir>, Arc<StandardHost>, Loid, Loid) {
     let dir = Arc::new(Dir::default());
     let vault = dir.add(VaultConfig::default());
     let host = StandardHost::new(
+        Loid::synthetic(LoidKind::Host, 1),
         HostConfig::unix("h0", "uva.edu"),
         Arc::clone(&dir) as Arc<dyn VaultDirectory>,
         11,
     );
     let class = Loid::synthetic(LoidKind::Class, 1);
     (dir, host, vault, class)
+}
+
+fn instance(seq: u64) -> Loid {
+    Loid::synthetic(LoidKind::Instance, seq)
 }
 
 fn req(class: Loid, vault: Loid) -> ReservationRequest {
@@ -114,10 +120,13 @@ fn start_object_rejects_wrong_class_spec() {
     let (_, host, vault, class) = setup();
     let other = Loid::synthetic(LoidKind::Class, 2);
     let tok = host.make_reservation(&req(class, vault), SimTime::ZERO).unwrap();
-    let err = host.start_object(&tok, &[ObjectSpec::new(other)], SimTime::ZERO);
+    let err = host.start_object(&tok, &[ObjectSpec::new(other, instance(1))], SimTime::ZERO);
     assert!(matches!(err, Err(LegionError::MalformedSchedule(_))));
-    // The failed start must not have consumed the one-shot token.
-    host.start_object(&tok, &[ObjectSpec::new(class)], SimTime::ZERO).unwrap();
+    // The host names nothing: a spec without an instance LOID is refused.
+    let err = host.start_object(&tok, &[ObjectSpec::new(class, Loid::NIL)], SimTime::ZERO);
+    assert!(matches!(err, Err(LegionError::MalformedSchedule(_))));
+    // The failed starts must not have consumed the one-shot token.
+    host.start_object(&tok, &[ObjectSpec::new(class, instance(1))], SimTime::ZERO).unwrap();
 }
 
 #[test]
@@ -134,7 +143,8 @@ fn kill_frees_capacity_and_reservation() {
     let big = ReservationRequest::instantaneous(class, vault, SimDuration::from_secs(600))
         .with_demand(100, 256);
     let tok = host.make_reservation(&big, SimTime::ZERO).unwrap();
-    let obj = host.start_object(&tok, &[ObjectSpec::new(class)], SimTime::ZERO).unwrap()[0];
+    let spec = ObjectSpec::new(class, instance(1));
+    let obj = host.start_object(&tok, &[spec], SimTime::ZERO).unwrap()[0];
     // No capacity left for another full-CPU request.
     assert!(host.make_reservation(&big, SimTime::from_secs(1)).is_err());
     host.kill_object(obj).unwrap();
@@ -147,7 +157,7 @@ fn kill_frees_capacity_and_reservation() {
 fn deactivation_stores_opr_then_removes_object() {
     let (dir, host, vault, class) = setup();
     let tok = host.make_reservation(&req(class, vault), SimTime::ZERO).unwrap();
-    let mut spec = ObjectSpec::new(class);
+    let mut spec = ObjectSpec::new(class, instance(1));
     spec.initial_state = b"precious".to_vec();
     spec.memory_mb = 48;
     let obj = host.start_object(&tok, &[spec], SimTime::ZERO).unwrap()[0];
@@ -172,7 +182,7 @@ fn deactivation_fails_if_vault_cannot_store() {
     let tok = host
         .make_reservation(&req(class, tiny), SimTime::ZERO)
         .expect("reservation fine");
-    let mut spec = ObjectSpec::new(class);
+    let mut spec = ObjectSpec::new(class, instance(1));
     spec.initial_state = vec![0u8; 64];
     let obj = host.start_object(&tok, &[spec], SimTime::ZERO).unwrap()[0];
 
@@ -190,7 +200,7 @@ fn attributes_track_running_objects_and_memory() {
     let free_before = before.get_i64(well_known::FREE_MEMORY_MB).unwrap();
 
     let tok = host.make_reservation(&req(class, vault), SimTime::ZERO).unwrap();
-    let mut spec = ObjectSpec::new(class);
+    let mut spec = ObjectSpec::new(class, instance(1));
     spec.memory_mb = 100;
     host.start_object(&tok, &[spec], SimTime::ZERO).unwrap();
 
@@ -237,7 +247,7 @@ fn check_reservation_lifecycle() {
         host.check_reservation(&tok, SimTime::ZERO).unwrap(),
         ReservationStatus::Active
     );
-    host.start_object(&tok, &[ObjectSpec::new(class)], SimTime::from_secs(1)).unwrap();
+    host.start_object(&tok, &[ObjectSpec::new(class, instance(1))], SimTime::from_secs(1)).unwrap();
     assert_eq!(
         host.check_reservation(&tok, SimTime::from_secs(1)).unwrap(),
         ReservationStatus::Consumed
@@ -271,7 +281,8 @@ fn trigger_guard_over_custom_attribute_combination() {
 
     // Objects running and load high: fires.
     let tok = host.make_reservation(&req(class, vault), SimTime::from_secs(30)).unwrap();
-    host.start_object(&tok, &[ObjectSpec::new(class)], SimTime::from_secs(31)).unwrap();
+    let spec = ObjectSpec::new(class, instance(1));
+    host.start_object(&tok, &[spec], SimTime::from_secs(31)).unwrap();
     host.reassess(SimTime::from_secs(60));
     assert_eq!(fired.len(), 1);
     let events = fired.take();
@@ -285,6 +296,7 @@ fn smp_reports_scaled_capacity() {
     let dir = Arc::new(Dir::default());
     dir.add(VaultConfig::default());
     let smp = StandardHost::new(
+        Loid::synthetic(LoidKind::Host, 2),
         HostConfig::smp("big", "uva.edu", 8),
         Arc::clone(&dir) as Arc<dyn VaultDirectory>,
         5,
@@ -326,14 +338,14 @@ fn implementation_selection_validated_by_host() {
     let (_, host, vault, class) = setup();
     let tok = host.make_reservation(&req(class, vault), SimTime::ZERO).unwrap();
     // The host is mips/IRIX; a sparc binary must be rejected.
-    let wrong = ObjectSpec::new(class)
+    let wrong = ObjectSpec::new(class, instance(1))
         .with_implementation(ObjectImplementation::new("sparc", "Solaris"));
     assert!(matches!(
         host.start_object(&tok, &[wrong], SimTime::ZERO),
         Err(LegionError::NoUsableImplementation { .. })
     ));
     // The matching binary is accepted (token unconsumed by the failure).
-    let right = ObjectSpec::new(class)
+    let right = ObjectSpec::new(class, instance(1))
         .with_implementation(ObjectImplementation::new("mips", "IRIX"));
     host.start_object(&tok, &[right], SimTime::ZERO).unwrap();
 }

@@ -495,7 +495,7 @@ impl FrontDoor {
             token: None,
             requested_at: now,
             deadline: now + self.config.confirm_window,
-            record: Loid::fresh(LoidKind::Instance),
+            record: self.ctx.fabric.mint(LoidKind::Instance),
         };
         // Persist the pending record before exposing the id: the ledger
         // is the recovery source of truth for in-flight grants.

@@ -12,11 +12,10 @@
 //!   placements) within a configured ratio of each other: the buckets,
 //!   not arrival luck, decide who gets through.
 //! * **Replay** — the whole multi-tenant run is byte-identical from one
-//!   seed: same trace JSON, same ledger, same event schedule (with the
-//!   LOID allocator rebased through `Loid::replay_guard`).
+//!   seed: same trace JSON, same ledger, same event schedule.
 
-use legion_apps::{run_ingress_sim, IngressSimConfig, IngressSimReport, TenantSpec};
-use legion_core::{Loid, SimDuration};
+use legion_apps::{run_ingress_sim, IngressSimConfig, TenantSpec};
+use legion_core::SimDuration;
 use legion_ingress::{ClassPolicy, IngressConfig, PriorityClass, TokenBucket};
 use proptest::prelude::*;
 
@@ -76,12 +75,6 @@ fn scenario(
     }
 }
 
-fn run_guarded(cfg: &IngressSimConfig) -> IngressSimReport {
-    let guard = Loid::replay_guard();
-    guard.rebase(1 << 40);
-    run_ingress_sim(cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -93,8 +86,8 @@ proptest! {
         pareto in proptest::collection::vec((any::<u8>(), 1.1f64..2.5), 1..4),
     ) {
         let cfg = scenario(seed, overdrive, &pareto);
-        let a = run_guarded(&cfg);
-        let b = run_guarded(&cfg);
+        let a = run_ingress_sim(&cfg).unwrap_or_else(|e| panic!("{e}"));
+        let b = run_ingress_sim(&cfg).unwrap_or_else(|e| panic!("{e}"));
 
         // Replay: one seed fully determines the run.
         prop_assert_eq!(a.stats, b.stats, "event schedules diverged (seed={:#x})", seed);

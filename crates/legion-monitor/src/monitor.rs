@@ -1,6 +1,8 @@
 //! Event intake: trigger registration and the outcall inbox.
 
-use legion_core::{Event, EventKind, Guard, HostObject, Loid, LoidKind, Outcall, SimDuration, Trigger, TriggerId};
+use legion_core::{
+    Event, EventKind, Guard, HostObject, Loid, Outcall, SimDuration, Trigger, TriggerId,
+};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -19,7 +21,6 @@ impl Outcall for Inbox {
 
 /// An embeddable execution monitor.
 pub struct Monitor {
-    loid: Loid,
     inbox: Arc<Inbox>,
     watched: Mutex<Vec<(Loid, TriggerId)>>,
 }
@@ -28,15 +29,9 @@ impl Monitor {
     /// A monitor with an empty inbox.
     pub fn new() -> Self {
         Monitor {
-            loid: Loid::fresh(LoidKind::Service),
             inbox: Arc::new(Inbox::default()),
             watched: Mutex::new(Vec::new()),
         }
-    }
-
-    /// This monitor's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
     }
 
     /// Registers a load-threshold trigger and this monitor's outcall on

@@ -154,7 +154,7 @@ impl Rebalancer {
     /// An event-driven rebalancer owning its monitor.
     pub fn new(fabric: Arc<Fabric>) -> Self {
         Rebalancer {
-            loid: Loid::fresh(LoidKind::Service),
+            loid: fabric.mint(LoidKind::Service),
             fabric,
             monitor: Monitor::new(),
             collection: None,

@@ -45,7 +45,7 @@ impl Watchdog {
     /// consecutive missed probes (at least 1).
     pub fn new(fabric: Arc<Fabric>, misses_allowed: u32) -> Self {
         Watchdog {
-            loid: Loid::fresh(LoidKind::Service),
+            loid: fabric.mint(LoidKind::Service),
             fabric,
             misses_allowed: misses_allowed.max(1),
             misses: Mutex::new(BTreeMap::new()),

@@ -1,8 +1,8 @@
 //! Monitor + migration integration tests.
 
 use legion_core::{
-    ClassObject, HostObject, LegionClass, LegionError, Loid, ObjectImplementation, ObjectSpec,
-    Opr, ReservationRequest, SimDuration, SimTime, VaultDirectory, VaultObject,
+    ClassObject, HostObject, LegionClass, LegionError, Loid, LoidKind, ObjectImplementation,
+    ObjectSpec, Opr, ReservationRequest, SimDuration, SimTime, VaultDirectory, VaultObject,
 };
 use legion_fabric::{DomainId, DomainTopology, Fabric};
 use legion_hosts::{BackgroundLoad, HostConfig, StandardHost};
@@ -32,7 +32,7 @@ fn split_world() -> World {
     let mut hosts = Vec::new();
     for d in 0..2u16 {
         let domain_name = format!("site{d}.edu");
-        let v = Arc::new(StandardVault::new(VaultConfig {
+        let v = Arc::new(StandardVault::new(fabric.mint(LoidKind::Vault), VaultConfig {
             name: format!("vault{d}"),
             domain: domain_name.clone(),
             accepted_domains: vec![domain_name.clone()],
@@ -41,6 +41,7 @@ fn split_world() -> World {
         vaults.push(v.loid());
         fabric.register_vault(v, DomainId(d));
         let h = StandardHost::new(
+            fabric.mint(LoidKind::Host),
             HostConfig::unix(format!("h{d}"), domain_name),
             fabric.clone(),
             10 + d as u64,
@@ -50,6 +51,7 @@ fn split_world() -> World {
         hosts.push(h);
     }
     let class = Arc::new(LegionClass::new(
+        fabric.mint(LoidKind::Class),
         "app",
         vec![ObjectImplementation::new("mips", "IRIX")],
     ));
@@ -65,7 +67,7 @@ fn start_object(w: &World, idx: usize) -> Loid {
     let req = ReservationRequest::instantaneous(w.class, vault, SimDuration::from_secs(7200))
         .with_demand(50, 64);
     let tok = h.make_reservation(&req, w.fabric.clock().now()).unwrap();
-    let mut spec = ObjectSpec::new(w.class);
+    let mut spec = ObjectSpec::new(w.class, w.fabric.mint(LoidKind::Instance));
     spec.initial_state = b"application checkpoint state".to_vec();
     let started = h.start_object(&tok, &[spec], w.fabric.clock().now()).unwrap();
     let obj = started[0];
@@ -123,7 +125,7 @@ fn start_hog(w: &World, idx: usize, mem: u32) -> Loid {
     let req = ReservationRequest::instantaneous(w.class, vault, SimDuration::from_secs(7200))
         .with_demand(10, mem);
     let tok = h.make_reservation(&req, w.fabric.clock().now()).unwrap();
-    let mut spec = ObjectSpec::new(w.class);
+    let mut spec = ObjectSpec::new(w.class, w.fabric.mint(LoidKind::Instance));
     spec.memory_mb = mem;
     h.start_object(&tok, &[spec], w.fabric.clock().now()).unwrap()[0]
 }
@@ -250,7 +252,7 @@ fn shutdown_drains_every_object() {
 fn migration_errors_are_typed() {
     let w = split_world();
     let obj = start_object(&w, 0);
-    let ghost = Loid::fresh(legion_core::LoidKind::Host);
+    let ghost = w.fabric.mint(LoidKind::Host);
 
     // Unknown source.
     let err = migrate_object(&w.fabric, obj, ghost, w.hosts[1].loid()).unwrap_err();
@@ -266,7 +268,7 @@ fn migration_errors_are_typed() {
     assert!(!err.wasted_work());
 
     // No vault holds passive state for a never-checkpointed LOID.
-    let unknown_obj = Loid::fresh(legion_core::LoidKind::Instance);
+    let unknown_obj = w.fabric.mint(LoidKind::Instance);
     let err = migrate_object(&w.fabric, unknown_obj, w.hosts[0].loid(), w.hosts[1].loid())
         .unwrap_err();
     assert!(matches!(err.failure, MigrateFailure::OprMissing(o) if o == unknown_obj));
@@ -405,7 +407,7 @@ fn mid_migration_target_crash_watchdog_restarts_on_third_host() {
         DomainTopology::uniform(1, SimDuration::from_micros(50), SimDuration::from_millis(20)),
         23,
     );
-    let vault = Arc::new(StandardVault::new(VaultConfig {
+    let vault = Arc::new(StandardVault::new(fabric.mint(LoidKind::Vault), VaultConfig {
         name: "shared".into(),
         domain: "site0.edu".into(),
         accepted_domains: vec!["site0.edu".into()],
@@ -417,6 +419,7 @@ fn mid_migration_target_crash_watchdog_restarts_on_third_host() {
     let mut wrapped = Vec::new();
     for i in 0..3u64 {
         let h = StandardHost::new(
+            fabric.mint(LoidKind::Host),
             HostConfig::unix(format!("h{i}"), "site0.edu"),
             fabric.clone(),
             40 + i,
@@ -428,6 +431,7 @@ fn mid_migration_target_crash_watchdog_restarts_on_third_host() {
         wrapped.push(w);
     }
     let class = Arc::new(LegionClass::new(
+        fabric.mint(LoidKind::Class),
         "app",
         vec![ObjectImplementation::new("mips", "IRIX")],
     ));
@@ -438,7 +442,7 @@ fn mid_migration_target_crash_watchdog_restarts_on_third_host() {
     let req = ReservationRequest::instantaneous(class_loid, vault_loid, SimDuration::from_secs(7200))
         .with_demand(50, 64);
     let tok = inners[0].make_reservation(&req, fabric.clock().now()).unwrap();
-    let mut spec = ObjectSpec::new(class_loid);
+    let mut spec = ObjectSpec::new(class_loid, fabric.mint(LoidKind::Instance));
     spec.initial_state = b"survivor state".to_vec();
     let obj = inners[0].start_object(&tok, &[spec], fabric.clock().now()).unwrap()[0];
     class.note_instance_location(obj, inners[0].loid());

@@ -1,7 +1,7 @@
 //! Watchdog crash detection + restart-from-OPR integration tests.
 
 use legion_core::{
-    ClassObject, HostObject, LegionClass, Loid, ObjectImplementation, ObjectSpec,
+    ClassObject, HostObject, LegionClass, Loid, LoidKind, ObjectImplementation, ObjectSpec,
     ReservationRequest, SimDuration, VaultDirectory, VaultObject,
 };
 use legion_fabric::{DomainId, DomainTopology, Fabric, FaultPlan};
@@ -23,7 +23,7 @@ fn shared_world() -> World {
         DomainTopology::uniform(2, SimDuration::from_micros(50), SimDuration::from_millis(20)),
         11,
     );
-    let v = Arc::new(StandardVault::new(VaultConfig {
+    let v = Arc::new(StandardVault::new(fabric.mint(LoidKind::Vault), VaultConfig {
         name: "vault".into(),
         domain: "site0.edu".into(),
         ..Default::default()
@@ -32,6 +32,7 @@ fn shared_world() -> World {
     let mut hosts = Vec::new();
     for i in 0..2u64 {
         let h = StandardHost::new(
+            fabric.mint(LoidKind::Host),
             HostConfig::unix(format!("h{i}"), "site0.edu"),
             fabric.clone(),
             20 + i,
@@ -41,6 +42,7 @@ fn shared_world() -> World {
         hosts.push(h);
     }
     let class = Arc::new(LegionClass::new(
+        fabric.mint(LoidKind::Class),
         "app",
         vec![ObjectImplementation::new("mips", "IRIX")],
     ));
@@ -55,7 +57,7 @@ fn start_object(w: &World, idx: usize) -> Loid {
     let req = ReservationRequest::instantaneous(w.class, vault, SimDuration::from_secs(7200))
         .with_demand(20, 64);
     let tok = h.make_reservation(&req, w.fabric.clock().now()).unwrap();
-    let mut spec = ObjectSpec::new(w.class);
+    let mut spec = ObjectSpec::new(w.class, w.fabric.mint(LoidKind::Instance));
     spec.initial_state = b"watchdog test state".to_vec();
     let obj = h.start_object(&tok, &[spec], w.fabric.clock().now()).unwrap()[0];
     w.fabric.lookup_class(w.class).unwrap().note_instance_location(obj, h.loid());
@@ -225,12 +227,13 @@ fn partition_looks_like_a_crash_and_triggers_recovery() {
         DomainTopology::uniform(2, SimDuration::from_micros(50), SimDuration::from_millis(20)),
         13,
     );
-    let v = Arc::new(StandardVault::new(VaultConfig::default()));
+    let v = Arc::new(StandardVault::new(fabric.mint(LoidKind::Vault), VaultConfig::default()));
     let vault_loid = v.loid();
     fabric.register_vault(v, DomainId(0));
     let mut hosts = Vec::new();
     for d in 0..2u16 {
         let h = StandardHost::new(
+            fabric.mint(LoidKind::Host),
             HostConfig::unix(format!("h{d}"), format!("site{d}.edu")),
             fabric.clone(),
             30 + d as u64,
@@ -240,6 +243,7 @@ fn partition_looks_like_a_crash_and_triggers_recovery() {
         hosts.push(h);
     }
     let class = Arc::new(LegionClass::new(
+        fabric.mint(LoidKind::Class),
         "app",
         vec![ObjectImplementation::new("mips", "IRIX")],
     ));
@@ -253,9 +257,8 @@ fn partition_looks_like_a_crash_and_triggers_recovery() {
         ReservationRequest::instantaneous(class_loid, vault_loid, SimDuration::from_secs(7200))
             .with_demand(20, 64);
     let tok = h1.make_reservation(&req, fabric.clock().now()).unwrap();
-    let obj = h1
-        .start_object(&tok, &[ObjectSpec::new(class_loid)], fabric.clock().now())
-        .unwrap()[0];
+    let spec = ObjectSpec::new(class_loid, fabric.mint(LoidKind::Instance));
+    let obj = h1.start_object(&tok, &[spec], fabric.clock().now()).unwrap()[0];
     fabric.lookup_class(class_loid).unwrap().note_instance_location(obj, h1.loid());
     assert!(fabric.lookup_vault(vault_loid).unwrap().holds(obj));
 

@@ -181,8 +181,9 @@ mod tests {
     fn all_or_nothing_reservation() {
         let f = fabric3();
         let dir = NetworkDirectory::new();
-        dir.add(NetworkObject::new(DomainId(0), DomainId(1), 100, 1));
-        dir.add(NetworkObject::new(DomainId(1), DomainId(2), 10, 2)); // tiny
+        let link = |seq| Loid::synthetic(LoidKind::Service, seq);
+        dir.add(NetworkObject::new(link(1), DomainId(0), DomainId(1), 100, 1));
+        dir.add(NetworkObject::new(link(2), DomainId(1), DomainId(2), 10, 2)); // tiny
         let broker = NetworkBroker::new(Arc::clone(&dir));
         let class = Loid::synthetic(LoidKind::Class, 1);
 

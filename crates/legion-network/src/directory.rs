@@ -1,6 +1,7 @@
 //! The directory of Network Objects, one per inter-domain link.
 
 use crate::netobj::{canonical, NetworkObject};
+use legion_core::LoidKind;
 use legion_fabric::{DomainId, Fabric};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -25,6 +26,7 @@ impl NetworkDirectory {
         for a in 0..n {
             for b in (a + 1)..n {
                 dir.add(NetworkObject::new(
+                    fabric.mint(LoidKind::Service),
                     DomainId(a as u16),
                     DomainId(b as u16),
                     capacity_mbps,

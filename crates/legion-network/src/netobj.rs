@@ -1,8 +1,8 @@
 //! The Network Object: guardian of one inter-domain link.
 
 use legion_core::{
-    AttributeDb, LegionError, Loid, LoidKind, ReservationRequest, ReservationStatus,
-    ReservationToken, ReservationType, SimDuration, SimTime,
+    AttributeDb, LegionError, Loid, ReservationRequest, ReservationStatus, ReservationToken,
+    ReservationType, SimDuration, SimTime,
 };
 use legion_fabric::DomainId;
 use legion_hosts::{ReservationTable, TableCapacity};
@@ -25,12 +25,14 @@ pub(crate) fn canonical(a: DomainId, b: DomainId) -> (DomainId, DomainId) {
 /// circuit is `share = 0`; ordinary multiplexed flows are `share = 1`.
 ///
 /// ```
-/// use legion_core::{Loid, LoidKind, SimDuration, SimTime};
+/// use legion_core::{LoidKind, LoidMinter, SimDuration, SimTime};
 /// use legion_fabric::DomainId;
 /// use legion_network::NetworkObject;
 ///
-/// let link = NetworkObject::new(DomainId(0), DomainId(1), 100, 7);
-/// let class = Loid::fresh(LoidKind::Class);
+/// let loids = LoidMinter::new(1);
+/// let link =
+///     NetworkObject::new(loids.mint(LoidKind::Service), DomainId(0), DomainId(1), 100, 7);
+/// let class = loids.mint(LoidKind::Class);
 /// let tok = link
 ///     .reserve_bandwidth(class, 40, SimDuration::from_secs(600), SimTime::ZERO)
 ///     .unwrap();
@@ -46,10 +48,9 @@ pub struct NetworkObject {
 }
 
 impl NetworkObject {
-    /// A link between `a` and `b` with the given capacity.
-    pub fn new(a: DomainId, b: DomainId, capacity_mbps: u32, seed: u64) -> Self {
+    /// The link object `loid` between `a` and `b` with the given capacity.
+    pub fn new(loid: Loid, a: DomainId, b: DomainId, capacity_mbps: u32, seed: u64) -> Self {
         assert!(capacity_mbps > 0, "a link needs capacity");
-        let loid = Loid::fresh(LoidKind::Service);
         let secret = legion_core::hash::mix64(seed ^ loid.digest());
         NetworkObject {
             loid,
@@ -171,6 +172,11 @@ impl NetworkObject {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legion_core::LoidKind;
+
+    fn link_loid() -> Loid {
+        Loid::synthetic(LoidKind::Service, 1)
+    }
 
     fn class() -> Loid {
         Loid::synthetic(LoidKind::Class, 1)
@@ -178,13 +184,13 @@ mod tests {
 
     #[test]
     fn canonicalization() {
-        let n = NetworkObject::new(DomainId(3), DomainId(1), 100, 7);
+        let n = NetworkObject::new(link_loid(), DomainId(3), DomainId(1), 100, 7);
         assert_eq!(n.link(), (DomainId(1), DomainId(3)));
     }
 
     #[test]
     fn shared_bandwidth_admits_to_capacity() {
-        let n = NetworkObject::new(DomainId(0), DomainId(1), 100, 7);
+        let n = NetworkObject::new(link_loid(), DomainId(0), DomainId(1), 100, 7);
         let d = SimDuration::from_secs(600);
         n.reserve_bandwidth(class(), 40, d, SimTime::ZERO).unwrap();
         n.reserve_bandwidth(class(), 40, d, SimTime::ZERO).unwrap();
@@ -195,7 +201,7 @@ mod tests {
 
     #[test]
     fn dedicated_circuit_excludes_flows() {
-        let n = NetworkObject::new(DomainId(0), DomainId(1), 100, 7);
+        let n = NetworkObject::new(link_loid(), DomainId(0), DomainId(1), 100, 7);
         let d = SimDuration::from_secs(600);
         n.reserve_with_type(class(), 10, d, SimTime::ZERO, ReservationType::REUSABLE_SPACE)
             .unwrap();
@@ -205,7 +211,7 @@ mod tests {
 
     #[test]
     fn cancellation_frees_bandwidth() {
-        let n = NetworkObject::new(DomainId(0), DomainId(1), 50, 7);
+        let n = NetworkObject::new(link_loid(), DomainId(0), DomainId(1), 50, 7);
         let d = SimDuration::from_secs(600);
         let tok = n.reserve_bandwidth(class(), 50, d, SimTime::ZERO).unwrap();
         assert!(n.reserve_bandwidth(class(), 10, d, SimTime::ZERO).is_err());
@@ -215,7 +221,7 @@ mod tests {
 
     #[test]
     fn confirmation_and_expiry() {
-        let n = NetworkObject::new(DomainId(0), DomainId(1), 50, 7);
+        let n = NetworkObject::new(link_loid(), DomainId(0), DomainId(1), 50, 7);
         let tok = n
             .reserve_bandwidth(class(), 10, SimDuration::from_secs(600), SimTime::ZERO)
             .unwrap();
@@ -237,7 +243,7 @@ mod tests {
 
     #[test]
     fn attributes_report_utilization() {
-        let n = NetworkObject::new(DomainId(0), DomainId(2), 100, 7);
+        let n = NetworkObject::new(link_loid(), DomainId(0), DomainId(2), 100, 7);
         n.reserve_bandwidth(class(), 30, SimDuration::from_secs(600), SimTime::ZERO)
             .unwrap();
         let a = n.attributes(SimTime::from_secs(1));

@@ -13,6 +13,10 @@ enum Op {
     Sweep,
 }
 
+fn link_loid() -> Loid {
+    Loid::synthetic(LoidKind::Service, 1)
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (1u32..80).prop_map(|mbps| Op::Reserve { mbps }),
@@ -30,7 +34,7 @@ proptest! {
     #[test]
     fn capacity_invariant(ops in proptest::collection::vec(arb_op(), 1..50)) {
         const CAP: u32 = 100;
-        let link = NetworkObject::new(DomainId(0), DomainId(1), CAP, 5);
+        let link = NetworkObject::new(link_loid(), DomainId(0), DomainId(1), CAP, 5);
         let class = Loid::synthetic(LoidKind::Class, 1);
         let mut now = SimTime::ZERO;
         let mut tokens = Vec::new();
@@ -71,7 +75,7 @@ proptest! {
     #[test]
     fn exact_fill(parts in proptest::collection::vec(1u32..40, 1..8)) {
         let total: u32 = parts.iter().sum();
-        let link = NetworkObject::new(DomainId(0), DomainId(1), total, 5);
+        let link = NetworkObject::new(link_loid(), DomainId(0), DomainId(1), total, 5);
         let class = Loid::synthetic(LoidKind::Class, 1);
         for &mbps in &parts {
             link.reserve_bandwidth(class, mbps, SimDuration::from_secs(60), SimTime::ZERO)

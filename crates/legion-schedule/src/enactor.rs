@@ -140,7 +140,7 @@ impl Enactor {
     /// An Enactor with explicit configuration.
     pub fn with_config(fabric: Arc<Fabric>, config: EnactorConfig) -> Self {
         Enactor {
-            loid: Loid::fresh(LoidKind::Service),
+            loid: fabric.mint(LoidKind::Service),
             fabric,
             config,
             in_flight: std::sync::atomic::AtomicU64::new(0),

@@ -1,7 +1,7 @@
 //! Enactor integration tests over real hosts, vaults and classes.
 
 use legion_core::{
-    ClassObject, HostObject, LegionClass, Loid, ObjectImplementation, PlacementContext,
+    ClassObject, HostObject, LegionClass, Loid, LoidKind, ObjectImplementation, PlacementContext,
     ReservationStatus, SimDuration, VaultObject,
 };
 use legion_fabric::{DomainId, DomainTopology, Fabric};
@@ -27,7 +27,7 @@ fn testbed(n: usize) -> Testbed {
         DomainTopology::uniform(2, SimDuration::from_micros(20), SimDuration::from_millis(25)),
         7,
     );
-    let vault = Arc::new(StandardVault::new(VaultConfig::default()));
+    let vault = Arc::new(StandardVault::new(fabric.mint(LoidKind::Vault), VaultConfig::default()));
     let vault_loid = vault.loid();
     fabric.register_vault(vault, DomainId(0));
 
@@ -35,6 +35,7 @@ fn testbed(n: usize) -> Testbed {
     let mut typed_hosts = Vec::new();
     for i in 0..n {
         let h = StandardHost::new(
+            fabric.mint(LoidKind::Host),
             HostConfig::unix(format!("h{i}"), "uva.edu"),
             fabric.clone(),
             100 + i as u64,
@@ -46,6 +47,7 @@ fn testbed(n: usize) -> Testbed {
     }
 
     let class = Arc::new(LegionClass::new(
+        fabric.mint(LoidKind::Class),
         "worker",
         vec![ObjectImplementation::new("mips", "IRIX")],
     ));

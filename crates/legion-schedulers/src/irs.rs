@@ -17,7 +17,7 @@
 //! [`ScheduleDriver`](crate::driver::ScheduleDriver).
 
 use crate::traits::{SchedCtx, Scheduler};
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
+use legion_core::{LegionError, PlacementRequest};
 use legion_schedule::{Mapping, ScheduleRequest, ScheduleRequestList, VariantSchedule};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -40,7 +40,6 @@ pub enum VariantStyle {
 
 /// The Figs. 8–9 improved random scheduler.
 pub struct IrsScheduler {
-    loid: Loid,
     /// `NSched`: mappings generated per instance (master + n−1 variants).
     pub nsched: usize,
     /// Variant structuring (Fig. 8 joint redraw by default).
@@ -54,7 +53,6 @@ impl IrsScheduler {
     pub fn new(seed: u64, nsched: usize) -> Self {
         assert!(nsched >= 1, "NSched must be at least 1");
         IrsScheduler {
-            loid: Loid::fresh(LoidKind::Service),
             nsched,
             style: VariantStyle::Joint,
             rng: Mutex::new(SmallRng::seed_from_u64(seed)),
@@ -65,11 +63,6 @@ impl IrsScheduler {
     pub fn per_position(mut self) -> Self {
         self.style = VariantStyle::PerPosition;
         self
-    }
-
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
     }
 }
 

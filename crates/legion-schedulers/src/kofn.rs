@@ -14,12 +14,11 @@
 
 use crate::traits::{SchedCtx, Scheduler};
 use legion_core::host::well_known;
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
+use legion_core::{LegionError, PlacementRequest};
 use legion_schedule::{Mapping, ScheduleRequest, ScheduleRequestList, VariantSchedule};
 
 /// k-of-n placement over an equivalence class of hosts.
 pub struct KOfNScheduler {
-    loid: Loid,
     /// Cap on the equivalence class size (`n`); `None` = all candidates.
     pub n_limit: Option<usize>,
     /// Cap on generated variants (each consumes Enactor attempts).
@@ -29,18 +28,13 @@ pub struct KOfNScheduler {
 impl KOfNScheduler {
     /// A k-of-n scheduler over the whole candidate set.
     pub fn new() -> Self {
-        KOfNScheduler { loid: Loid::fresh(LoidKind::Service), n_limit: None, max_variants: 16 }
+        KOfNScheduler { n_limit: None, max_variants: 16 }
     }
 
     /// Restricts the equivalence class to `n` members.
     pub fn with_n(mut self, n: usize) -> Self {
         self.n_limit = Some(n);
         self
-    }
-
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
     }
 }
 

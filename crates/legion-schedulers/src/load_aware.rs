@@ -10,12 +10,11 @@
 
 use crate::traits::{SchedCtx, Scheduler};
 use legion_core::host::well_known;
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
+use legion_core::{LegionError, PlacementRequest};
 use legion_schedule::{Mapping, ScheduleRequest, ScheduleRequestList, VariantSchedule};
 
 /// Least-loaded-first placement.
 pub struct LoadAwareScheduler {
-    loid: Loid,
     /// Prefer `host_load_forecast` (injected) over `host_load`.
     pub use_forecast: bool,
     /// Number of variant schedules to emit (next-best hosts as spares).
@@ -25,17 +24,12 @@ pub struct LoadAwareScheduler {
 impl LoadAwareScheduler {
     /// A load-aware scheduler on instantaneous load.
     pub fn new() -> Self {
-        LoadAwareScheduler { loid: Loid::fresh(LoidKind::Service), use_forecast: false, variants: 2 }
+        LoadAwareScheduler { use_forecast: false, variants: 2 }
     }
 
     /// A load-aware scheduler preferring injected forecasts.
     pub fn forecasting() -> Self {
         LoadAwareScheduler { use_forecast: true, ..Self::new() }
-    }
-
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
     }
 
     fn load_of(&self, c: &crate::traits::Candidate) -> f64 {

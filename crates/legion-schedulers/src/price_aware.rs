@@ -10,12 +10,11 @@
 
 use crate::traits::{Candidate, SchedCtx, Scheduler};
 use legion_core::host::well_known;
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
+use legion_core::{LegionError, PlacementRequest};
 use legion_schedule::{Mapping, ScheduleRequest, ScheduleRequestList, VariantSchedule};
 
 /// Cheapest-first placement with a load guard.
 pub struct PriceAwareScheduler {
-    loid: Loid,
     /// Hosts above this load are excluded no matter how cheap.
     pub max_load: f64,
     /// Variant schedules to emit (next-cheapest spares).
@@ -25,18 +24,13 @@ pub struct PriceAwareScheduler {
 impl PriceAwareScheduler {
     /// A price-aware scheduler excluding hosts loaded above 2.0.
     pub fn new() -> Self {
-        PriceAwareScheduler { loid: Loid::fresh(LoidKind::Service), max_load: 2.0, variants: 2 }
+        PriceAwareScheduler { max_load: 2.0, variants: 2 }
     }
 
     /// Builder: set the load ceiling.
     pub fn with_max_load(mut self, max_load: f64) -> Self {
         self.max_load = max_load;
         self
-    }
-
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
     }
 
     fn price_of(c: &Candidate) -> i64 {

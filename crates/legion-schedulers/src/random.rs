@@ -25,7 +25,7 @@
 //! Classes in releases prior to 1.5".
 
 use crate::traits::{SchedCtx, Scheduler};
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
+use legion_core::{LegionError, PlacementRequest};
 use legion_schedule::{Mapping, ScheduleRequestList};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -34,7 +34,6 @@ use rand::SeedableRng;
 
 /// The Fig. 7 random scheduler.
 pub struct RandomScheduler {
-    loid: Loid,
     rng: Mutex<SmallRng>,
 }
 
@@ -42,14 +41,8 @@ impl RandomScheduler {
     /// A random scheduler with a deterministic seed.
     pub fn new(seed: u64) -> Self {
         RandomScheduler {
-            loid: Loid::fresh(LoidKind::Service),
             rng: Mutex::new(SmallRng::seed_from_u64(seed)),
         }
-    }
-
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
     }
 }
 

@@ -6,25 +6,19 @@
 //! Load-aware in the experiments.
 
 use crate::traits::{SchedCtx, Scheduler};
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
+use legion_core::{LegionError, PlacementRequest};
 use legion_schedule::{Mapping, ScheduleRequestList};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Cycles instances across candidates in Collection order.
 pub struct RoundRobinScheduler {
-    loid: Loid,
     cursor: AtomicUsize,
 }
 
 impl RoundRobinScheduler {
     /// A fresh round-robin scheduler.
     pub fn new() -> Self {
-        RoundRobinScheduler { loid: Loid::fresh(LoidKind::Service), cursor: AtomicUsize::new(0) }
-    }
-
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
+        RoundRobinScheduler { cursor: AtomicUsize::new(0) }
     }
 }
 

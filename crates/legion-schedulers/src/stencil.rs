@@ -18,7 +18,7 @@
 
 use crate::traits::{Candidate, SchedCtx, Scheduler};
 use legion_core::host::well_known;
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
+use legion_core::{LegionError, PlacementRequest};
 use legion_schedule::{Mapping, ScheduleRequestList};
 use std::collections::BTreeMap;
 
@@ -51,7 +51,6 @@ impl GridSpec {
 
 /// Domain-banded placement for nearest-neighbour grids.
 pub struct StencilScheduler {
-    loid: Loid,
     /// The application's process grid.
     pub grid: GridSpec,
 }
@@ -59,12 +58,7 @@ pub struct StencilScheduler {
 impl StencilScheduler {
     /// A stencil scheduler for the given grid.
     pub fn new(grid: GridSpec) -> Self {
-        StencilScheduler { loid: Loid::fresh(LoidKind::Service), grid }
-    }
-
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
+        StencilScheduler { grid }
     }
 }
 

@@ -70,7 +70,7 @@ fn bed(shards: usize, members: usize, delta_capacity: Option<usize>) -> Bed {
         DomainTopology::uniform(1, SimDuration::from_micros(10), SimDuration::from_millis(1)),
         7,
     );
-    let collection = Collection::with_shards(0xCACE, shards);
+    let collection = Collection::with_shards(fabric.mint(LoidKind::Service), 0xCACE, shards);
     collection.set_metrics(Arc::clone(fabric.metrics()));
     if let Some(cap) = delta_capacity {
         collection.enable_deltas(cap);

@@ -2,8 +2,8 @@
 
 use legion_collection::{Collection, DataCollectionDaemon};
 use legion_core::{
-    HostObject, LegionClass, Loid, ObjectImplementation, PlacementRequest, ReservationRequest,
-    ReservationType, SimDuration,
+    HostObject, LegionClass, Loid, LoidKind, ObjectImplementation, PlacementRequest,
+    ReservationRequest, ReservationType, SimDuration,
 };
 use legion_fabric::{DomainId, DomainTopology, Fabric};
 use legion_hosts::{HostConfig, StandardHost};
@@ -17,11 +17,13 @@ fn bed(n: usize, seed: u64) -> (Arc<Fabric>, SchedCtx, Vec<Arc<StandardHost>>, L
         DomainTopology::uniform(1, SimDuration::from_micros(10), SimDuration::from_micros(10)),
         seed,
     );
-    let vault = Arc::new(legion_vaults::StandardVault::new(Default::default()));
+    let vault = legion_vaults::StandardVault::new(fabric.mint(LoidKind::Vault), Default::default());
+    let vault = Arc::new(vault);
     fabric.register_vault(vault, DomainId(0));
     let mut hosts = Vec::new();
     for i in 0..n {
         let h = StandardHost::new(
+            fabric.mint(LoidKind::Host),
             HostConfig::unix(format!("h{i}"), "dom0"),
             fabric.clone(),
             seed + i as u64,
@@ -29,14 +31,14 @@ fn bed(n: usize, seed: u64) -> (Arc<Fabric>, SchedCtx, Vec<Arc<StandardHost>>, L
         fabric.register_host(Arc::clone(&h) as Arc<dyn HostObject>, DomainId(0));
         hosts.push(h);
     }
+    let implementations = vec![ObjectImplementation::new("mips", "IRIX")];
     let class = Arc::new(
-        LegionClass::new("w", vec![ObjectImplementation::new("mips", "IRIX")])
-            .with_demand(100, 64),
+        LegionClass::new(fabric.mint(LoidKind::Class), "w", implementations).with_demand(100, 64),
     );
     let class_loid = legion_core::ClassObject::loid(&*class);
     fabric.register_class(class);
-    let collection = Collection::new(seed);
-    let daemon = DataCollectionDaemon::new(Arc::clone(&collection));
+    let collection = Collection::new(fabric.mint(LoidKind::Service), seed);
+    let daemon = DataCollectionDaemon::new(fabric.mint(LoidKind::Service), Arc::clone(&collection));
     for h in &hosts {
         daemon.track_host(Arc::clone(h) as Arc<dyn HostObject>);
     }

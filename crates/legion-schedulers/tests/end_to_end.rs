@@ -4,7 +4,7 @@
 use legion_collection::{Collection, DataCollectionDaemon};
 use legion_core::host::well_known;
 use legion_core::{
-    ClassObject, HostObject, LegionClass, Loid, ObjectImplementation, PlacementContext,
+    ClassObject, HostObject, LegionClass, Loid, LoidKind, ObjectImplementation, PlacementContext,
     PlacementRequest, SimDuration,
 };
 use legion_fabric::{DomainId, DomainTopology, Fabric};
@@ -41,7 +41,7 @@ fn world(domains: usize, per_domain: usize, seed: u64) -> World {
 
     let mut hosts = Vec::new();
     for d in 0..domains {
-        let vault = Arc::new(StandardVault::new(VaultConfig {
+        let vault = Arc::new(StandardVault::new(fabric.mint(LoidKind::Vault), VaultConfig {
             name: format!("vault-{d}"),
             domain: format!("site{d}.edu"),
             ..Default::default()
@@ -49,6 +49,7 @@ fn world(domains: usize, per_domain: usize, seed: u64) -> World {
         fabric.register_vault(vault, DomainId(d as u16));
         for i in 0..per_domain {
             let h = StandardHost::new(
+                fabric.mint(LoidKind::Host),
                 HostConfig::unix(format!("h{d}-{i}"), format!("site{d}.edu")),
                 fabric.clone(),
                 seed + (d * per_domain + i) as u64,
@@ -61,17 +62,18 @@ fn world(domains: usize, per_domain: usize, seed: u64) -> World {
 
     // A timeshared worker: a quarter CPU each, so several instances can
     // share a host under shared reservations.
+    let implementations = vec![ObjectImplementation::new("mips", "IRIX")];
     let class = Arc::new(
-        LegionClass::new("worker", vec![ObjectImplementation::new("mips", "IRIX")])
+        LegionClass::new(fabric.mint(LoidKind::Class), "worker", implementations)
             .with_demand(25, 64),
     );
     let class_loid = class.loid();
     fabric.register_class(class);
 
     // Populate the Collection via the pull daemon.
-    let collection = Collection::new(seed ^ 0xC0FFEE);
+    let collection = Collection::new(fabric.mint(LoidKind::Service), seed ^ 0xC0FFEE);
     collection.set_metrics(Arc::clone(fabric.metrics()));
-    let daemon = DataCollectionDaemon::new(Arc::clone(&collection));
+    let daemon = DataCollectionDaemon::new(fabric.mint(LoidKind::Service), Arc::clone(&collection));
     for h in &hosts {
         daemon.track_host(Arc::clone(h) as Arc<dyn HostObject>);
     }
@@ -172,7 +174,8 @@ fn load_aware_prefers_idle_hosts() {
         h.reassess(w.fabric.clock().now());
     }
     // Refresh the Collection so the scheduler sees the new loads.
-    let daemon = DataCollectionDaemon::new(Arc::clone(&w.ctx.collection));
+    let daemon =
+        DataCollectionDaemon::new(w.fabric.mint(LoidKind::Service), Arc::clone(&w.ctx.collection));
     for h in &w.hosts {
         daemon.track_host(Arc::clone(h) as Arc<dyn HostObject>);
     }

@@ -53,13 +53,8 @@ struct Store {
 }
 
 impl StandardVault {
-    /// Creates a vault from configuration.
-    pub fn new(config: VaultConfig) -> Self {
-        StandardVault { loid: Loid::fresh(LoidKind::Vault), config, store: RwLock::new(Store::default()) }
-    }
-
-    /// Creates a vault with a deterministic LOID (testbed construction).
-    pub fn with_loid(loid: Loid, config: VaultConfig) -> Self {
+    /// Creates the vault `loid` from configuration.
+    pub fn new(loid: Loid, config: VaultConfig) -> Self {
         assert_eq!(loid.kind, LoidKind::Vault, "vault LOID must have vault kind");
         StandardVault { loid, config, store: RwLock::new(Store::default()) }
     }
@@ -167,6 +162,10 @@ mod tests {
     use legion_core::host::well_known;
     use legion_core::SimTime;
 
+    fn vault(config: VaultConfig) -> StandardVault {
+        StandardVault::new(Loid::synthetic(LoidKind::Vault, 1), config)
+    }
+
     fn opr(seq: u64, size: usize) -> Opr {
         Opr::new(
             Loid::synthetic(LoidKind::Instance, seq),
@@ -178,7 +177,7 @@ mod tests {
 
     #[test]
     fn store_fetch_delete_roundtrip() {
-        let v = StandardVault::new(VaultConfig::default());
+        let v = vault(VaultConfig::default());
         let o = opr(1, 100);
         v.store_opr(o.clone()).unwrap();
         assert!(v.holds(o.object));
@@ -192,7 +191,7 @@ mod tests {
 
     #[test]
     fn capacity_enforced() {
-        let v = StandardVault::new(VaultConfig { capacity_bytes: 150, ..Default::default() });
+        let v = vault(VaultConfig { capacity_bytes: 150, ..Default::default() });
         v.store_opr(opr(1, 100)).unwrap();
         assert!(matches!(v.store_opr(opr(2, 100)), Err(LegionError::VaultFull(_))));
         // Overwrite of the same object only charges the delta.
@@ -203,7 +202,7 @@ mod tests {
 
     #[test]
     fn stale_version_rejected() {
-        let v = StandardVault::new(VaultConfig::default());
+        let v = vault(VaultConfig::default());
         let o1 = opr(1, 10);
         let o2 = o1.resaved(SimTime::from_secs(1), vec![0u8; 10]);
         v.store_opr(o2.clone()).unwrap();
@@ -214,7 +213,7 @@ mod tests {
 
     #[test]
     fn domain_compatibility() {
-        let v = StandardVault::new(VaultConfig {
+        let v = vault(VaultConfig {
             accepted_domains: vec!["uva.edu".into()],
             ..Default::default()
         });
@@ -223,13 +222,13 @@ mod tests {
         assert!(v.compatible_with_host(&uva));
         assert!(!v.compatible_with_host(&sdsc));
         // Open vault accepts everyone.
-        let open = StandardVault::new(VaultConfig::default());
+        let open = vault(VaultConfig::default());
         assert!(open.compatible_with_host(&sdsc));
     }
 
     #[test]
     fn arch_compatibility() {
-        let v = StandardVault::new(VaultConfig {
+        let v = vault(VaultConfig {
             accepted_arches: vec!["mips".into(), "sparc".into()],
             ..Default::default()
         });
@@ -241,7 +240,7 @@ mod tests {
 
     #[test]
     fn attributes_reflect_state() {
-        let v = StandardVault::new(VaultConfig {
+        let v = vault(VaultConfig {
             name: "v0".into(),
             capacity_bytes: 1000,
             ..Default::default()
@@ -256,6 +255,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "vault LOID")]
     fn wrong_kind_loid_panics() {
-        StandardVault::with_loid(Loid::synthetic(LoidKind::Host, 1), VaultConfig::default());
+        StandardVault::new(Loid::synthetic(LoidKind::Host, 1), VaultConfig::default());
     }
 }

@@ -41,7 +41,8 @@ proptest! {
     #[test]
     fn accounting_matches_model(ops in proptest::collection::vec(arb_op(), 1..60)) {
         const CAP: u64 = 500;
-        let v = StandardVault::new(VaultConfig { capacity_bytes: CAP, ..Default::default() });
+        let config = VaultConfig { capacity_bytes: CAP, ..Default::default() };
+        let v = StandardVault::new(Loid::synthetic(LoidKind::Vault, 1), config);
         let mut model: BTreeMap<u64, (usize, u64)> = BTreeMap::new(); // obj -> (size, version)
 
         for op in ops {

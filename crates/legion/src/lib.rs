@@ -116,7 +116,7 @@ pub mod prelude {
     };
     pub use legion_collection::{Collection, DataCollectionDaemon, FederatedCollection};
     pub use legion_core::{
-        AttrValue, AttributeDb, ClassObject, HostObject, LegionClass, LegionError, Loid,
+        AttrValue, AttributeDb, ClassObject, HostObject, LegionClass, LegionError, Loid, LoidKind,
         ObjectImplementation, PlacementContext, PlacementRequest, ReservationRequest,
         ReservationType, SimDuration, SimTime, VaultObject,
     };

@@ -24,7 +24,7 @@ fn main() {
         let started = h0
             .start_object(
                 &tok,
-                &[legion::core::ObjectSpec::new(class)],
+                &[legion::core::ObjectSpec::new(class, tb.fabric.mint(LoidKind::Instance))],
                 tb.fabric.clock().now(),
             )
             .expect("start");

@@ -63,7 +63,7 @@ fn queue_depth_is_visible_to_schedulers() {
         let tok = bq.make_reservation(&req, tb.fabric.clock().now()).unwrap();
         bq.start_object(
             &tok,
-            &[legion::core::ObjectSpec::new(class)],
+            &[legion::core::ObjectSpec::new(class, tb.fabric.mint(LoidKind::Instance))],
             tb.fabric.clock().now(),
         )
         .unwrap();
@@ -88,6 +88,7 @@ fn priority_discipline_observable_through_legion() {
     // the queue level but drive completion through host reassessment.
     let tb = Testbed::build(TestbedConfig::local(1, 71));
     let inner = StandardHost::new(
+        tb.fabric.mint(LoidKind::Host),
         legion::hosts::HostConfig::smp("bq", "site0.edu", 1),
         tb.fabric.clone(),
         5,
@@ -107,7 +108,7 @@ fn priority_discipline_observable_through_legion() {
         let tok = bq.make_reservation(&req, tb.fabric.clock().now()).unwrap();
         started.extend(bq.start_object(
             &tok,
-            &[legion::core::ObjectSpec::new(class)],
+            &[legion::core::ObjectSpec::new(class, tb.fabric.mint(LoidKind::Instance))],
             tb.fabric.clock().now(),
         )
         .unwrap());

@@ -10,6 +10,7 @@ fn paper_example_query_against_live_hosts() {
     // one host on a different platform by hand.
     let tb = Testbed::build(TestbedConfig::local(3, 30));
     let linux = StandardHost::new(
+        tb.fabric.mint(LoidKind::Host),
         HostConfig::unix("lx0", "site0.edu").platform("x86", "Linux", "2.0.36"),
         tb.fabric.clone(),
         77,
@@ -72,7 +73,7 @@ fn rich_attributes_are_queryable() {
 fn push_and_pull_coexist() {
     let tb = Testbed::build(TestbedConfig::local(2, 32));
     // A service object joins with initial data (push model, Fig. 4).
-    let svc = Loid::fresh(legion::core::LoidKind::Service);
+    let svc = tb.fabric.mint(LoidKind::Service);
     let cred = tb.collection.join_with(
         svc,
         AttributeDb::new().with("service_kind", "enactor").with("version", 2i64),
@@ -117,8 +118,8 @@ fn forecast_injection_visible_in_queries() {
 #[test]
 fn forecaster_tracks_independent_hosts() {
     let f = LoadForecaster::new(8);
-    let a = Loid::fresh(legion::core::LoidKind::Host);
-    let b = Loid::fresh(legion::core::LoidKind::Host);
+    let a = Loid::synthetic(LoidKind::Host, 1);
+    let b = Loid::synthetic(LoidKind::Host, 2);
     for i in 0..8 {
         f.observe(a, 0.2 + 0.01 * i as f64);
         f.observe(b, 1.5);
@@ -134,7 +135,7 @@ fn queries_are_safe_against_malicious_patterns() {
     // The NFA engine is linear-time: a classic catastrophic pattern over
     // a long attribute must return promptly (and not match).
     let tb = Testbed::build(TestbedConfig::local(1, 34));
-    let svc = Loid::fresh(legion::core::LoidKind::Service);
+    let svc = tb.fabric.mint(LoidKind::Service);
     tb.collection.join_with(
         svc,
         AttributeDb::new().with("blob", "a".repeat(4000)),

@@ -216,10 +216,11 @@ fn concurrent_host_operations_stay_consistent() {
                     else {
                         continue; // capacity race lost; fine
                     };
+                    let instance = tb.fabric.mint(LoidKind::Instance);
                     let started = host
                         .start_object(
                             &tok,
-                            &[legion::core::ObjectSpec::new(class)],
+                            &[legion::core::ObjectSpec::new(class, instance)],
                             tb.fabric.clock().now(),
                         )
                         .expect("granted reservation always starts");

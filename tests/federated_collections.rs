@@ -11,10 +11,11 @@ fn federated_bed() -> (Testbed, Arc<FederatedCollection>, Vec<Arc<Collection>>) 
     // only that domain's hosts — the locality partition a real
     // federation would use.
     let per_domain: Vec<Arc<Collection>> =
-        (0..3).map(|d| Collection::new(1000 + d)).collect();
+        (0..3).map(|d| Collection::new(tb.fabric.mint(LoidKind::Service), 1000 + d)).collect();
     let fed = FederatedCollection::new();
     for (d, c) in per_domain.iter().enumerate() {
-        let dom_daemon = DataCollectionDaemon::new(Arc::clone(c));
+        let dom_daemon =
+            DataCollectionDaemon::new(tb.fabric.mint(LoidKind::Service), Arc::clone(c));
         for h in tb.unix_hosts.iter().skip(d * 3).take(3) {
             dom_daemon.track_host(Arc::clone(h) as Arc<dyn HostObject>);
         }

@@ -166,7 +166,6 @@ fn approve_after_host_crash_reconciles_the_ledger() {
 #[test]
 fn pinned_seed_ingress_chaos_soak_replays_byte_identically() {
     const SEED: u64 = 0xFA1_7D00;
-    let guard = Loid::replay_guard();
     let cfg = IngressSimConfig {
         chaos_crashes: 3,
         crash_down_for: SimDuration::from_secs(180),
@@ -174,9 +173,7 @@ fn pinned_seed_ingress_chaos_soak_replays_byte_identically() {
         ..IngressSimConfig::seeded(SEED)
     };
 
-    guard.rebase(1 << 40);
     let a = run_ingress_sim(&cfg).unwrap_or_else(|e| panic!("run A: {e}"));
-    guard.rebase(1 << 40);
     let b = run_ingress_sim(&cfg).unwrap_or_else(|e| panic!("run B: {e}"));
 
     // The soak did real multi-tenant work under real chaos.

@@ -16,9 +16,8 @@ fn place_n_on_host0(tb: &Testbed, class: Loid, n: usize) -> Vec<Loid> {
             )
             .with_demand(10, 32);
             let tok = h0.make_reservation(&req, tb.fabric.clock().now()).unwrap();
-            let started = h0
-                .start_object(&tok, &[ObjectSpec::new(class)], tb.fabric.clock().now())
-                .unwrap();
+            let spec = ObjectSpec::new(class, tb.fabric.mint(LoidKind::Instance));
+            let started = h0.start_object(&tok, &[spec], tb.fabric.clock().now()).unwrap();
             if let Some(c) = tb.fabric.lookup_class(class) {
                 c.note_instance_location(started[0], h0.loid());
             }

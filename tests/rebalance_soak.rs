@@ -39,9 +39,8 @@ fn pile_on(tb: &Testbed, class: Loid, host_idx: usize, n: usize) -> Vec<Loid> {
                 ReservationRequest::instantaneous(class, vault, SimDuration::from_secs(1 << 20))
                     .with_demand(20, 48);
             let tok = h.make_reservation(&req, tb.fabric.clock().now()).unwrap();
-            let obj =
-                h.start_object(&tok, &[ObjectSpec::new(class)], tb.fabric.clock().now()).unwrap()
-                    [0];
+            let spec = ObjectSpec::new(class, tb.fabric.mint(LoidKind::Instance));
+            let obj = h.start_object(&tok, &[spec], tb.fabric.clock().now()).unwrap()[0];
             tb.fabric.lookup_class(class).unwrap().note_instance_location(obj, h.loid());
             obj
         })

@@ -15,6 +15,11 @@ fn bed() -> (Testbed, Loid) {
     (tb, class)
 }
 
+/// A start request for a new instance of `class`, named by the bed.
+fn spec(tb: &Testbed, class: Loid) -> ObjectSpec {
+    ObjectSpec::new(class, tb.fabric.mint(LoidKind::Instance))
+}
+
 #[test]
 fn one_shot_space_sharing_takes_the_machine_once() {
     let (tb, class) = bed();
@@ -28,9 +33,9 @@ fn one_shot_space_sharing_takes_the_machine_once() {
         .with_demand(10, 16);
     assert!(host.make_reservation(&small, tb.fabric.clock().now()).is_err());
     // One start consumes the token.
-    host.start_object(&tok, &[ObjectSpec::new(class)], tb.fabric.clock().now()).unwrap();
+    host.start_object(&tok, &[spec(&tb, class)], tb.fabric.clock().now()).unwrap();
     assert!(matches!(
-        host.start_object(&tok, &[ObjectSpec::new(class)], tb.fabric.clock().now()),
+        host.start_object(&tok, &[spec(&tb, class)], tb.fabric.clock().now()),
         Err(LegionError::ReservationConsumed)
     ));
 }
@@ -46,7 +51,7 @@ fn reusable_space_sharing_is_machine_is_mine() {
     // "The machine is mine for the time period": start several batches
     // under the same token.
     for _ in 0..3 {
-        host.start_object(&tok, &[ObjectSpec::new(class)], tb.fabric.clock().now()).unwrap();
+        host.start_object(&tok, &[spec(&tb, class)], tb.fabric.clock().now()).unwrap();
     }
     assert_eq!(host.running_objects().len(), 3);
 }
@@ -61,7 +66,7 @@ fn smp_multi_object_start_under_one_token() {
     let req = ReservationRequest::instantaneous(class, vault, SimDuration::from_secs(600))
         .with_demand(400, 512); // all four CPUs
     let tok = host.make_reservation(&req, tb.fabric.clock().now()).unwrap();
-    let specs = vec![ObjectSpec::new(class); 4];
+    let specs: Vec<_> = (0..4).map(|_| spec(&tb, class)).collect();
     let started = host.start_object(&tok, &specs, tb.fabric.clock().now()).unwrap();
     assert_eq!(started.len(), 4);
     // All four are distinct objects.
@@ -83,11 +88,11 @@ fn future_reservations_and_timeout_confirmation() {
     let tok = host.make_reservation(&req, tb.fabric.clock().now()).unwrap();
     // Too early: refused.
     assert!(host
-        .start_object(&tok, &[ObjectSpec::new(class)], SimTime::from_secs(11 * 3600))
+        .start_object(&tok, &[spec(&tb, class)], SimTime::from_secs(11 * 3600))
         .is_err());
     // At noon: accepted.
     tb.fabric.clock().advance_to(noon);
-    host.start_object(&tok, &[ObjectSpec::new(class)], noon).unwrap();
+    host.start_object(&tok, &[spec(&tb, class)], noon).unwrap();
 
     // Instantaneous reservation with a confirmation timeout lapses.
     // (First leave the exclusive noon-hour window behind.)
@@ -101,7 +106,7 @@ fn future_reservations_and_timeout_confirmation() {
     let later = tb.fabric.clock().advance(SimDuration::from_secs(40));
     host.reassess(later);
     assert!(matches!(
-        host.start_object(&tok2, &[ObjectSpec::new(class)], later),
+        host.start_object(&tok2, &[spec(&tb, class)], later),
         Err(LegionError::ReservationExpired)
     ));
 }
@@ -116,7 +121,7 @@ fn tokens_do_not_transfer_between_hosts() {
     let tok = h0.make_reservation(&req, tb.fabric.clock().now()).unwrap();
     // Presenting host 0's token to host 1 fails verification.
     assert!(matches!(
-        h1.start_object(&tok, &[ObjectSpec::new(class)], tb.fabric.clock().now()),
+        h1.start_object(&tok, &[spec(&tb, class)], tb.fabric.clock().now()),
         Err(LegionError::InvalidToken)
     ));
     assert!(matches!(h1.cancel_reservation(&tok), Err(LegionError::InvalidToken)));
@@ -146,7 +151,7 @@ fn unconfirmed_reservation_is_reclaimed_and_stale_token_refused() {
     let tok2 = host.make_reservation(&all, later).unwrap();
     // ...and the stale token is refused at every entry point.
     assert!(matches!(
-        host.start_object(&stale, &[ObjectSpec::new(class)], later),
+        host.start_object(&stale, &[spec(&tb, class)], later),
         Err(LegionError::ReservationExpired)
     ));
     assert_eq!(
@@ -154,7 +159,7 @@ fn unconfirmed_reservation_is_reclaimed_and_stale_token_refused() {
         legion::core::ReservationStatus::Expired
     );
     // The fresh token still works.
-    host.start_object(&tok2, &[ObjectSpec::new(class)], later).unwrap();
+    host.start_object(&tok2, &[spec(&tb, class)], later).unwrap();
 }
 
 #[test]
@@ -176,7 +181,7 @@ fn crash_expires_reservations_and_restart_reclaims_resources() {
         Err(LegionError::HostDown(_))
     ));
     assert!(matches!(
-        host.start_object(&pre_crash, &[ObjectSpec::new(class)], tb.fabric.clock().now()),
+        host.start_object(&pre_crash, &[spec(&tb, class)], tb.fabric.clock().now()),
         Err(LegionError::HostDown(_))
     ));
 
@@ -188,11 +193,11 @@ fn crash_expires_reservations_and_restart_reclaims_resources() {
     // The pre-crash token fails deterministically — the serial counter
     // survives the crash, so it can never be confused with a new grant.
     assert!(matches!(
-        host.start_object(&pre_crash, &[ObjectSpec::new(class)], later),
+        host.start_object(&pre_crash, &[spec(&tb, class)], later),
         Err(LegionError::ReservationExpired)
     ));
     assert_ne!(fresh.serial, pre_crash.serial, "serials must never collide");
-    host.start_object(&fresh, &[ObjectSpec::new(class)], later).unwrap();
+    host.start_object(&fresh, &[spec(&tb, class)], later).unwrap();
 }
 
 mod fanout_equivalence {

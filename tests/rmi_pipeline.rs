@@ -128,6 +128,7 @@ fn class_selects_implementation_per_platform() {
     // binaries must instantiate on both, selecting per platform (§3.3).
     let tb = Testbed::build(TestbedConfig::local(1, 5));
     let linux = StandardHost::new(
+        tb.fabric.mint(LoidKind::Host),
         HostConfig::unix("lx", "site0.edu").platform("x86", "Linux", "2.2"),
         tb.fabric.clone(),
         88,
@@ -136,6 +137,7 @@ fn class_selects_implementation_per_platform() {
     tb.fabric.register_host(linux as Arc<dyn HostObject>, DomainId(0));
 
     let class = Arc::new(LegionClass::new(
+        tb.fabric.mint(LoidKind::Class),
         "portable",
         vec![
             ObjectImplementation::new("mips", "IRIX"),
@@ -158,6 +160,7 @@ fn class_selects_implementation_per_platform() {
 
     // A class with only an alpha/OSF binary can run nowhere here.
     let exotic = Arc::new(LegionClass::new(
+        tb.fabric.mint(LoidKind::Class),
         "exotic",
         vec![ObjectImplementation::new("alpha", "OSF1")],
     ));

@@ -5,8 +5,9 @@
 //!
 //! * **Byte-identical replay** — two runs of the full chaos soak from
 //!   one seed produce identical `legion-trace/v1` JSON exports and
-//!   identical `MetricsLedger` snapshots, byte for byte (with the LOID
-//!   allocator rebased through `Loid::replay_guard`).
+//!   identical `MetricsLedger` snapshots, byte for byte — also when the
+//!   two runs execute at the same time on two threads, because every
+//!   LOID comes from the run's own fabric.
 //! * **Scale without sleeping** — a 1000-episode soak, chaos and all,
 //!   completes in seconds of wall clock because every wait (backoff,
 //!   wire latency, dwell) is an event.
@@ -14,10 +15,6 @@
 //!   semantics: the PR 4 replay scenario (width-1 reservation fan-out
 //!   under loss) and serial `place_many` produce the same outcomes,
 //!   token serials, and ledger deltas under either substrate.
-//!
-//! Every test takes the replay guard: LOID sequence numbers are the one
-//! process-global that leaks into trace exports, so tests that compare
-//! or replay runs must not interleave allocations.
 
 use legion::core::Loid;
 use legion::fabric::MetricsSnapshot;
@@ -45,12 +42,8 @@ fn sweep_config(seed: u64) -> SimSoakConfig {
 
 #[test]
 fn pinned_seed_chaos_soak_replays_byte_identically() {
-    let guard = Loid::replay_guard();
     let cfg = SimSoakConfig::seeded(SOAK_SEED);
-
-    guard.rebase(1 << 40);
     let a = run_chaos_soak(&cfg).unwrap_or_else(|e| panic!("run A: {e}"));
-    guard.rebase(1 << 40);
     let b = run_chaos_soak(&cfg).unwrap_or_else(|e| panic!("run B: {e}"));
 
     // The soak did real work under real chaos.
@@ -80,9 +73,45 @@ fn pinned_seed_chaos_soak_replays_byte_identically() {
     assert!(ja.contains("\"legion-trace/v1\""), "export carries the schema tag");
 }
 
+/// Runs `run` twice at the same time: two threads, released together.
+fn side_by_side<R: Send>(run: impl Fn() -> R + Sync) -> (R, R) {
+    let start = std::sync::Barrier::new(2);
+    let go = || {
+        start.wait();
+        run()
+    };
+    std::thread::scope(|s| {
+        let (a, b) = (s.spawn(go), s.spawn(go));
+        (a.join().expect("run A"), b.join().expect("run B"))
+    })
+}
+
+#[test]
+fn concurrent_same_seed_chaos_soaks_are_byte_identical() {
+    let cfg = sweep_config(SOAK_SEED);
+    let (a, b) = side_by_side(|| run_chaos_soak(&cfg).unwrap_or_else(|e| panic!("{e}")));
+    assert!(a.completed > 0, "the soak placed nothing");
+    assert_eq!(a.stats, b.stats, "event schedules diverged");
+    assert_eq!(a.metrics, b.metrics, "ledger snapshots diverged");
+    assert!(a.trace_json.is_some() && a.trace_json == b.trace_json, "trace JSON diverged");
+}
+
+#[test]
+fn concurrent_same_seed_ingress_sims_are_byte_identical() {
+    let cfg = IngressSimConfig {
+        chaos_crashes: 2,
+        horizon: SimDuration::from_secs(600),
+        ..IngressSimConfig::seeded(0xFA1_7D00)
+    };
+    let (a, b) = side_by_side(|| run_ingress_sim(&cfg).unwrap_or_else(|e| panic!("{e}")));
+    assert!(a.metrics.ingress_completed > 0, "nothing completed");
+    assert_eq!(a.stats, b.stats, "event schedules diverged");
+    assert_eq!(a.metrics, b.metrics, "ledger snapshots diverged");
+    assert!(a.trace_json.is_some() && a.trace_json == b.trace_json, "trace JSON diverged");
+}
+
 #[test]
 fn thousand_episode_soak_runs_in_seconds_without_sleeping() {
-    let _guard = Loid::replay_guard();
     let cfg = SimSoakConfig::seeded(SOAK_SEED ^ 0x1000)
         .with_episodes(1000, SimDuration::from_secs(3));
     let wall = std::time::Instant::now();
@@ -115,7 +144,6 @@ fn thousand_episode_soak_runs_in_seconds_without_sleeping() {
 
 #[test]
 fn chaos_soak_thirty_two_seed_sweep() {
-    let _guard = Loid::replay_guard();
     let wall = std::time::Instant::now();
     let results = seed_sweep(
         (0..32).map(|i| SOAK_SEED.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i)),
@@ -144,7 +172,6 @@ fn chaos_soak_thirty_two_seed_sweep() {
 
 #[test]
 fn rebalance_sim_converges_like_the_thread_soak() {
-    let _guard = Loid::replay_guard();
     let report = run_rebalance_sim(0xBA1A_0C5E, 90).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(report.sweeps.len(), 90, "one report per sweep");
     assert_eq!(report.metrics.rebalance_sweeps, 90);
@@ -167,7 +194,6 @@ fn reservation_fanout_under_sim_matches_thread_path_under_loss() {
     // every backoff parks on the event queue instead of advancing the
     // clock inline — must reproduce the thread path outcome-for-outcome:
     // same classification, same token serials, same ledger delta.
-    let _guard = Loid::replay_guard();
     let scenario = |tb: &Testbed, class: Loid| -> (ScheduleOutcome, Vec<(usize, u64)>, MetricsSnapshot) {
         // The Enactor itself lives in domain 0; hosts sit in domains 0
         // and 1, so both links must be lossy to exercise every mapping.
@@ -234,7 +260,6 @@ fn place_many_under_sim_matches_serial_thread_path() {
     // instances. Serial thread path (workers = 1) versus one sim task
     // per spec — the sim runs tasks to completion in spawn order, so the
     // two must place identically, spec for spec.
-    let _guard = Loid::replay_guard();
     const SEED: u64 = 83;
     type Placed = Vec<Result<Vec<(usize, u64)>, String>>;
     let digest = |tb: &Testbed, results: Vec<Result<DriverReport, LegionError>>| -> Placed {
@@ -309,7 +334,6 @@ fn place_many_under_sim_matches_serial_thread_path() {
 fn failing_seed_reprints_its_event_schedule() {
     // seed_sweep's replay-on-failure contract: the panic names the seed
     // and carries the schedule tail of the failing run.
-    let _guard = Loid::replay_guard();
     let outcome = std::panic::catch_unwind(|| {
         seed_sweep([7u64], |seed| {
             let clock = Arc::new(legion::fabric::VirtualClock::new());
