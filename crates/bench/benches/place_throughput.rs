@@ -1,24 +1,21 @@
 #![allow(missing_docs)]
-//! Parallel enactment throughput: (A) serial vs fan-out co-allocation —
-//! one schedule spanning every domain of a wide testbed, reserved by
-//! `Enactor::reserve_schedule` with `fanout` 1 vs 8 — (B) serial vs
-//! batched bulk placement — 32 placement requests run one-by-one
-//! through `ScheduleDriver::place` vs pipelined 8 wide through
-//! `place_many` — and (C) steady-state scheduling over a large churning
-//! Collection with the epoch-validated candidate cache off vs on.
+//! Placement throughput: (A) serial vs batched bulk placement — 32
+//! placement requests run one-by-one through `ScheduleDriver::place`
+//! vs pipelined 8 wide through `place_many` — and (B) steady-state
+//! scheduling over a large churning Collection with the
+//! epoch-validated candidate cache off vs on.
 //!
-//! Both parts run under the fabric's wire-latency emulation
+//! Part A runs under the fabric's wire-latency emulation
 //! (`Fabric::set_wire_emulation`): every metered message blocks its
 //! calling thread for 1/100th of its simulated latency in real time, so
 //! a 40 ms inter-domain reservation round-trip costs 400 µs of genuine
-//! wall-clock wait — as it would against a real WAN. That is what the
-//! fan-out is for: the serial fill pass pays one RTT per admin domain
-//! back-to-back, while the fan-out overlaps them. Both arms pay the
-//! same emulated latency, so the comparison is fair, and the speedup is
-//! honest wall-clock even on a single-core machine (waiting threads
-//! overlap regardless of core count). Hosts also carry preloaded
-//! reservation tables (`Testbed::preload_reservations`) so admission
-//! does realistic overlap-scan work rather than probing empty tables.
+//! wall-clock wait — as it would against a real WAN. Looped `place`
+//! pays those waits back-to-back, while `place_many` workers overlap
+//! them. Both arms pay the same emulated latency, so the comparison is
+//! fair even on a single-core machine (waiting threads overlap
+//! regardless of core count). Hosts also carry preloaded reservation
+//! tables (`Testbed::preload_reservations`) so admission does realistic
+//! overlap-scan work rather than probing empty tables.
 //!
 //! Emits `BENCH_place_throughput.json` at the repo root. Run quick (CI
 //! smoke): `cargo bench -p legion-bench --bench place_throughput --
@@ -68,50 +65,7 @@ struct Row {
     parallel_ns: f64,
 }
 
-/// Part A: one 8-mapping co-allocation (one host per domain) reserved
-/// and cancelled per cycle, serial fill pass vs 8-wide fan-out.
-fn coalloc(preload: usize, samples: usize, target_ms: f64) -> Row {
-    let domains = 8;
-    let tb = Testbed::build(TestbedConfig::wide(domains, 4, 4242));
-    let class = tb.register_class("co", 1, 1);
-    tb.tick(SimDuration::from_secs(1));
-    let made = tb.preload_reservations(preload, class);
-    assert_eq!(made, domains * 4 * preload, "every filler admitted");
-
-    let hosts = &tb.unix_hosts;
-    let vaults = &tb.vault_loids;
-    let fabric = &tb.fabric;
-    let run = |fanout: usize| {
-        let enactor = Enactor::with_config(
-            tb.fabric.clone(),
-            EnactorConfig { fanout, ..Default::default() },
-        );
-        let mut cycle = 0usize;
-        move || {
-            // Rotate through each domain's hosts so cycles spread over
-            // the bed instead of hammering one table per domain.
-            let off = cycle % 4;
-            cycle += 1;
-            let mappings: Vec<Mapping> = (0..domains)
-                .map(|d| Mapping::new(class, hosts[d * 4 + off].loid(), vaults[d]))
-                .collect();
-            // The measured operation is the reservation round: emulated
-            // wire waits apply to it (in both arms); the cancel that
-            // returns capacity for the next cycle is bench bookkeeping
-            // and runs with emulation off.
-            fabric.set_wire_emulation(WIRE_NS_PER_SIM_US);
-            let fb = enactor.make_reservations(&ScheduleRequestList::single(mappings));
-            fabric.set_wire_emulation(0);
-            assert!(fb.reserved(), "zero-contention co-allocation must reserve");
-            enactor.cancel_reservations(&fb)
-        }
-    };
-    let serial_ns = median_ns(samples, target_ms, run(1));
-    let parallel_ns = median_ns(samples, target_ms, run(8));
-    Row { part: "coalloc", label: "8-domain co-allocation, fanout 1 vs 8", serial_ns, parallel_ns }
-}
-
-/// Part B: 32 two-instance placement requests, looped `place` vs
+/// Part A: 32 two-instance placement requests, looped `place` vs
 /// `place_many(.., 8)`. Placed objects are killed after each cycle so
 /// capacity returns; the consumed reservations die and autocompaction
 /// keeps tables near their preloaded size.
@@ -171,14 +125,14 @@ fn steady_attrs(vault: Loid, memory_mb: i64) -> legion::core::AttributeDb {
         )
 }
 
-/// Part C: steady-state scheduling over a `records`-strong synthetic
+/// Part B: steady-state scheduling over a `records`-strong synthetic
 /// Collection with `churn_pct`% of records refreshed (pull-daemon
 /// style `replace`) before each batch of [`SCHEDULES_PER_CHURN`]
 /// schedules. Serial arm: candidate cache disabled, so every schedule
 /// pays the full indexed query plus per-record candidate
 /// materialization. Parallel arm: the epoch-validated cache patches
 /// once from the delta log and serves the rest of the batch by epoch
-/// compare. Schedules only — enactment is parts A/B's subject; this
+/// compare. Schedules only — enactment is part A's subject; this
 /// tier isolates the Fig. 7 "query the Collection" step the cache
 /// amortizes.
 fn cached_steady(
@@ -253,13 +207,11 @@ fn cached_steady(
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var("BENCH_QUICK").is_ok_and(|v| v == "1");
-    let (samples, target_ms, preload_a, preload_b) =
-        if quick { (5, 5.0, 256, 128) } else { (15, 60.0, 1024, 512) };
+    let (samples, target_ms, preload) = if quick { (5, 5.0, 128) } else { (15, 60.0, 512) };
     let steady_records = if quick { 2_000 } else { 10_000 };
 
     let rows = [
-        coalloc(preload_a, samples, target_ms),
-        bulk_place(preload_b, samples, target_ms),
+        bulk_place(preload, samples, target_ms),
         cached_steady(
             steady_records,
             5,
@@ -287,9 +239,8 @@ fn main() {
             r.label,
         );
     }
-    let coalloc_speedup = rows[0].serial_ns / rows[0].parallel_ns;
-    let place_many_speedup = rows[1].serial_ns / rows[1].parallel_ns;
-    let cached_steady_speedup = rows[2].serial_ns / rows[2].parallel_ns;
+    let place_many_speedup = rows[0].serial_ns / rows[0].parallel_ns;
+    let cached_steady_speedup = rows[1].serial_ns / rows[1].parallel_ns;
     assert!(
         cached_steady_speedup >= 3.0,
         "candidate cache steady-state tier must hold >= 3x at {steady_records} records / 5% churn, \
@@ -302,19 +253,16 @@ fn main() {
     json.push_str("  \"schema_version\": 1,\n");
     json.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
     json.push_str(&format!("  \"samples_per_measurement\": {samples},\n"));
-    json.push_str(&format!("  \"preload_reservations_per_host\": [{preload_a}, {preload_b}],\n"));
+    json.push_str(&format!("  \"preload_reservations_per_host\": {preload},\n"));
     json.push_str(&format!(
         "  \"wire_emulation_ns_per_sim_us\": {WIRE_NS_PER_SIM_US},\n"
     ));
     json.push_str(
-        "  \"before\": \"serial: fanout 1 fill pass / looped ScheduleDriver::place, emulated WAN waits paid back-to-back\",\n",
+        "  \"before\": \"serial: looped ScheduleDriver::place, emulated WAN waits paid back-to-back\",\n",
     );
     json.push_str(
-        "  \"after\": \"parallel: 8-wide reservation fan-out / place_many with 8 workers, same emulated WAN waits overlapped\",\n",
+        "  \"after\": \"parallel: place_many with 8 workers, same emulated WAN waits overlapped\",\n",
     );
-    json.push_str(&format!(
-        "  \"headline_coalloc_fanout8_speedup\": {coalloc_speedup:.2},\n"
-    ));
     json.push_str(&format!(
         "  \"headline_place_many_32x8_speedup\": {place_many_speedup:.2},\n"
     ));

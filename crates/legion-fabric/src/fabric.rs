@@ -25,16 +25,11 @@ use std::sync::Arc;
 pub struct Fabric {
     clock: Arc<VirtualClock>,
     topology: RwLock<DomainTopology>,
-    /// Hosts and locations are copy-on-write `Arc` maps: readers on the
-    /// reservation hot path grab one `Arc` clone per *attempt* (a
-    /// [`RegistrySnapshot`]) instead of a registry read-lock per
-    /// mapping; mutations clone-and-swap, which is cheap because
-    /// registration is rare next to lookups.
-    hosts: RwLock<Arc<BTreeMap<Loid, Arc<dyn HostObject>>>>,
+    hosts: RwLock<BTreeMap<Loid, Arc<dyn HostObject>>>,
     vaults: RwLock<BTreeMap<Loid, Arc<dyn VaultObject>>>,
     classes: RwLock<BTreeMap<Loid, Arc<dyn ClassObject>>>,
     /// Domain of every registered object (service objects included).
-    locations: RwLock<Arc<BTreeMap<Loid, DomainId>>>,
+    locations: RwLock<BTreeMap<Loid, DomainId>>,
     metrics: Arc<MetricsLedger>,
     tracer: Arc<TraceSink>,
     /// Names every object created in this run (lane derived from the seed).
@@ -76,10 +71,10 @@ impl Fabric {
         Arc::new(Fabric {
             clock,
             topology: RwLock::new(topology),
-            hosts: RwLock::new(Arc::new(BTreeMap::new())),
+            hosts: RwLock::new(BTreeMap::new()),
             vaults: RwLock::new(BTreeMap::new()),
             classes: RwLock::new(BTreeMap::new()),
-            locations: RwLock::new(Arc::new(BTreeMap::new())),
+            locations: RwLock::new(BTreeMap::new()),
             metrics: Arc::new(MetricsLedger::default()),
             tracer,
             loids: LoidMinter::new(legion_core::hash::mix64(seed ^ 0x4C45_4749_4F4E_0001)),
@@ -107,8 +102,8 @@ impl Fabric {
     /// Registers a host in `domain`.
     pub fn register_host(&self, host: Arc<dyn HostObject>, domain: DomainId) {
         let loid = host.loid();
-        Arc::make_mut(&mut *self.hosts.write()).insert(loid, host);
-        Arc::make_mut(&mut *self.locations.write()).insert(loid, domain);
+        self.hosts.write().insert(loid, host);
+        self.locations.write().insert(loid, domain);
     }
 
     /// Removes a host from the fabric — a crash or administrative
@@ -116,21 +111,21 @@ impl Fabric {
     /// RMI component must "accommodate ... at any step" (§3.1). Returns
     /// the removed host, if it existed.
     pub fn unregister_host(&self, loid: Loid) -> Option<Arc<dyn HostObject>> {
-        Arc::make_mut(&mut *self.locations.write()).remove(&loid);
-        Arc::make_mut(&mut *self.hosts.write()).remove(&loid)
+        self.locations.write().remove(&loid);
+        self.hosts.write().remove(&loid)
     }
 
     /// Registers a vault in `domain`.
     pub fn register_vault(&self, vault: Arc<dyn VaultObject>, domain: DomainId) {
         let loid = vault.loid();
         self.vaults.write().insert(loid, vault);
-        Arc::make_mut(&mut *self.locations.write()).insert(loid, domain);
+        self.locations.write().insert(loid, domain);
     }
 
     /// Removes a vault from the fabric — the OPRs it holds become
     /// unreachable. Returns the removed vault, if it existed.
     pub fn unregister_vault(&self, loid: Loid) -> Option<Arc<dyn VaultObject>> {
-        Arc::make_mut(&mut *self.locations.write()).remove(&loid);
+        self.locations.write().remove(&loid);
         self.vaults.write().remove(&loid)
     }
 
@@ -139,27 +134,14 @@ impl Fabric {
     pub fn register_class(&self, class: Arc<dyn ClassObject>) {
         let loid = class.loid();
         self.classes.write().insert(loid, class);
-        Arc::make_mut(&mut *self.locations.write()).insert(loid, DomainId(0));
+        self.locations.write().insert(loid, DomainId(0));
     }
 
     /// Places (or moves) an arbitrary object into a domain — used for
     /// service objects like Schedulers and Collections so their traffic
     /// is charged correctly.
     pub fn place(&self, loid: Loid, domain: DomainId) {
-        Arc::make_mut(&mut *self.locations.write()).insert(loid, domain);
-    }
-
-    /// Takes a consistent copy-on-write snapshot of the host and
-    /// location registries. A co-allocation attempt resolves every
-    /// mapping against one snapshot — one `Arc` clone per attempt
-    /// instead of a registry read-lock per mapping — and worker threads
-    /// share it freely. Hosts registered or removed after the snapshot
-    /// are invisible to it, exactly like a lookup that raced the change.
-    pub fn registry(&self) -> RegistrySnapshot {
-        RegistrySnapshot {
-            hosts: Arc::clone(&self.hosts.read()),
-            locations: Arc::clone(&self.locations.read()),
-        }
+        self.locations.write().insert(loid, domain);
     }
 
     /// Looks up a registered class.
@@ -196,49 +178,14 @@ impl Fabric {
     /// any step"), charges latency to the ledger, and counts the message.
     pub fn link(&self, from: Loid, to: Loid) -> Result<SimDuration, LegionError> {
         let (a, b) = (self.domain_of(from), self.domain_of(to));
-        self.link_between(a, b, None, from, to)
-    }
-
-    /// [`Fabric::link`] resolving domains from a [`RegistrySnapshot`]
-    /// and, when `rng` is given, drawing any loss decision from the
-    /// caller's stream instead of the fabric's shared one. Parallel
-    /// reservation workers pass their per-worker `DetRng` stream so the
-    /// loss sequence each mapping sees is a function of the master seed
-    /// alone, not of thread interleaving; `None` preserves the serial
-    /// path's shared stream bit-for-bit.
-    pub fn link_via(
-        &self,
-        registry: &RegistrySnapshot,
-        from: Loid,
-        to: Loid,
-        rng: Option<&mut SmallRng>,
-    ) -> Result<SimDuration, LegionError> {
-        let (a, b) = (registry.domain_of(from), registry.domain_of(to));
-        self.link_between(a, b, rng, from, to)
-    }
-
-    fn link_between(
-        &self,
-        a: DomainId,
-        b: DomainId,
-        rng: Option<&mut SmallRng>,
-        from: Loid,
-        to: Loid,
-    ) -> Result<SimDuration, LegionError> {
         let topo = self.topology.read();
         MetricsLedger::bump(&self.metrics.messages);
         let p = topo.drop_prob(a, b);
         // The draw happens only on lossy links, so lossless runs consume
-        // nothing from either stream regardless of which one is wired.
-        if p > 0.0 {
-            let draw = match rng {
-                Some(r) => r.gen::<f64>(),
-                None => self.link_rng.lock().gen::<f64>(),
-            };
-            if draw < p {
-                MetricsLedger::bump(&self.metrics.messages_dropped);
-                return Err(LegionError::NetworkFailure { from, to });
-            }
+        // nothing from the loss stream.
+        if p > 0.0 && self.link_rng.lock().gen::<f64>() < p {
+            MetricsLedger::bump(&self.metrics.messages_dropped);
+            return Err(LegionError::NetworkFailure { from, to });
         }
         let lat = topo.latency(a, b);
         drop(topo);
@@ -257,8 +204,8 @@ impl Fabric {
                 // `now + lat` fires, so the episode genuinely spends the
                 // wire latency in virtual time while other tasks run —
                 // at full wall-clock speed. Non-task callers (control
-                // thread closures, fan-out workers) cannot park and skip
-                // the wait; their latency is still charged above.
+                // thread closures) cannot park and skip the wait; their
+                // latency is still charged above.
                 if sim.in_task() {
                     sim.sleep(lat);
                 }
@@ -285,10 +232,10 @@ impl Fabric {
     /// every loss draw are identical with emulation on or off. What
     /// changes is *wall-clock* behaviour: threads genuinely wait out
     /// their messages, so concurrency that overlaps wide-area latency
-    /// (reservation fan-out, batched placement) shows its real effect
-    /// even on a single core, exactly as it would against a real WAN.
-    /// Sleeps that would round below ~20µs are skipped to stay clear of
-    /// the kernel timer floor.
+    /// (batched placement, `ScheduleDriver::place_many`) shows its real
+    /// effect even on a single core, exactly as it would against a real
+    /// WAN. Sleeps that would round below ~20µs are skipped to stay
+    /// clear of the kernel timer floor.
     ///
     /// With a scheduler attached ([`Fabric::attach_sim`]), the wait is a
     /// sim-time event instead: the calling task parks for the message's
@@ -535,43 +482,6 @@ impl Fabric {
     }
 }
 
-/// A consistent, lock-free view of the host and location registries,
-/// taken once per reservation attempt via [`Fabric::registry`]. Cloning
-/// is two `Arc` bumps; lookups never touch a fabric lock, so a fan-out
-/// of worker threads resolving mappings concurrently contend on nothing.
-#[derive(Clone)]
-pub struct RegistrySnapshot {
-    hosts: Arc<BTreeMap<Loid, Arc<dyn HostObject>>>,
-    locations: Arc<BTreeMap<Loid, DomainId>>,
-}
-
-impl RegistrySnapshot {
-    /// Looks up a host as of the snapshot.
-    pub fn lookup_host(&self, loid: Loid) -> Option<Arc<dyn HostObject>> {
-        self.hosts.get(&loid).cloned()
-    }
-
-    /// The domain an object lived in as of the snapshot (default domain
-    /// 0 if unplaced — same rule as [`Fabric::domain_of`]).
-    pub fn domain_of(&self, loid: Loid) -> DomainId {
-        self.locations.get(&loid).copied().unwrap_or(DomainId(0))
-    }
-
-    /// Number of hosts in the snapshot.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
-    }
-}
-
-impl std::fmt::Debug for RegistrySnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RegistrySnapshot")
-            .field("hosts", &self.hosts.len())
-            .field("locations", &self.locations.len())
-            .finish()
-    }
-}
-
 impl PlacementContext for Fabric {
     fn lookup_host(&self, loid: Loid) -> Option<Arc<dyn HostObject>> {
         self.hosts.read().get(&loid).cloned()
@@ -671,48 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_snapshot_is_immutable_view() {
-        let f = Fabric::local(3);
-        let a = Loid::synthetic(LoidKind::Service, 1);
-        f.place(a, DomainId(0));
-        let snap = f.registry();
-        assert_eq!(snap.host_count(), 0);
-        assert_eq!(snap.domain_of(a), DomainId(0));
-        // Mutations after the snapshot are invisible to it.
-        let b = Loid::synthetic(LoidKind::Service, 2);
-        f.place(b, DomainId(0));
-        f.place(a, DomainId(0));
-        assert_eq!(snap.domain_of(b), DomainId(0), "unknown objects default to domain 0");
-        assert!(snap.lookup_host(b).is_none());
-        // A fresh snapshot sees the new placements.
-        assert_eq!(f.registry().domain_of(a), DomainId(0));
-    }
-
-    #[test]
-    fn link_via_caller_stream_is_deterministic_and_independent() {
-        let run = |seed: u64| -> Vec<bool> {
-            let f = Fabric::new(
-                DomainTopology::uniform(
-                    2,
-                    SimDuration::from_micros(1),
-                    SimDuration::from_micros(1),
-                ),
-                seed,
-            );
-            f.with_topology(|t| t.set_inter_domain_drop_prob(0.3));
-            let a = Loid::synthetic(LoidKind::Service, 1);
-            let b = Loid::synthetic(LoidKind::Service, 2);
-            f.place(a, DomainId(0));
-            f.place(b, DomainId(1));
-            let snap = f.registry();
-            let mut rng = f.rng().stream_indexed2("worker", 0, 0);
-            (0..50).map(|_| f.link_via(&snap, a, b, Some(&mut rng)).is_ok()).collect()
-        };
-        assert_eq!(run(11), run(11));
-        assert_ne!(run(11), run(12));
-    }
-
-    #[test]
     fn wire_emulation_blocks_real_time_without_changing_results() {
         let f = Fabric::new(
             DomainTopology::uniform(2, SimDuration::from_micros(100), SimDuration::from_millis(40)),
@@ -742,41 +610,6 @@ mod tests {
         f.link(a, a).expect("lossless link");
         assert!(start.elapsed() < std::time::Duration::from_millis(5));
         f.set_wire_emulation(0);
-    }
-
-    #[test]
-    fn link_via_without_stream_matches_link() {
-        // With rng = None, link_via consumes the same shared stream as
-        // link — interleaving the two draws one sequence.
-        let f = Fabric::new(
-            DomainTopology::uniform(2, SimDuration::from_micros(1), SimDuration::from_micros(1)),
-            11,
-        );
-        f.with_topology(|t| t.set_inter_domain_drop_prob(0.3));
-        let a = Loid::synthetic(LoidKind::Service, 1);
-        let b = Loid::synthetic(LoidKind::Service, 2);
-        f.place(a, DomainId(0));
-        f.place(b, DomainId(1));
-        let snap = f.registry();
-        let mixed: Vec<bool> = (0..50)
-            .map(|i| {
-                if i % 2 == 0 {
-                    f.link(a, b).is_ok()
-                } else {
-                    f.link_via(&snap, a, b, None).is_ok()
-                }
-            })
-            .collect();
-
-        let f2 = Fabric::new(
-            DomainTopology::uniform(2, SimDuration::from_micros(1), SimDuration::from_micros(1)),
-            11,
-        );
-        f2.with_topology(|t| t.set_inter_domain_drop_prob(0.3));
-        f2.place(a, DomainId(0));
-        f2.place(b, DomainId(1));
-        let pure: Vec<bool> = (0..50).map(|_| f2.link(a, b).is_ok()).collect();
-        assert_eq!(mixed, pure);
     }
 
     #[test]

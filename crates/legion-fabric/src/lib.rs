@@ -25,7 +25,7 @@ pub mod sim;
 
 pub use clock::VirtualClock;
 pub use domain::{Domain, DomainId, DomainTopology};
-pub use fabric::{Fabric, RegistrySnapshot};
+pub use fabric::Fabric;
 pub use faults::{FaultAction, FaultCounts, FaultEvent, FaultPlan};
 pub use metrics::{MetricsLedger, MetricsSnapshot};
 pub use reconcile::{reconcile_trace, reconciliation_report, Mismatch};

@@ -37,9 +37,7 @@ use legion_core::{
     ReservationStatus, ReservationToken, ReservationType, SimDuration, SimTime, SpanKind,
     SpanOutcome,
 };
-use legion_fabric::{Fabric, MetricsLedger, RegistrySnapshot};
-use legion_trace::SpanGuard;
-use rand::rngs::SmallRng;
+use legion_fabric::{Fabric, MetricsLedger};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -80,15 +78,6 @@ pub struct EnactorConfig {
     /// [`FailureClass::DeadlineExceeded`] instead of burning the
     /// remaining attempts.
     pub deadline: Option<SimDuration>,
-    /// Width of the concurrent reservation fan-out: how many worker
-    /// threads one attempt may use to issue its `reserve_one` calls —
-    /// the paper's co-allocation "negotiat[ion] with several resources
-    /// from different administrative domains" (§3) run in parallel.
-    /// `1` (the default) reproduces the serial fill pass bit-for-bit;
-    /// wider fan-outs keep the same failure classification and ledger
-    /// deltas because results are re-ordered by position before
-    /// classification and hosts stay the sole admission arbiters.
-    pub fanout: usize,
 }
 
 impl Default for EnactorConfig {
@@ -104,7 +93,6 @@ impl Default for EnactorConfig {
             backoff_base: SimDuration::from_millis(500),
             backoff_cap: SimDuration::from_secs(15),
             deadline: None,
-            fanout: 1,
         }
     }
 }
@@ -184,7 +172,7 @@ impl Enactor {
     /// Builds the reservation request for one mapping. Class demand is
     /// memoized in `demand` (one `report()` per class per schedule
     /// attempt, not per mapping) and the requester domain is passed in
-    /// pre-resolved, so the fill pass hands workers ready-made requests.
+    /// pre-resolved.
     fn request_with(
         &self,
         m: &Mapping,
@@ -213,20 +201,14 @@ impl Enactor {
         }
     }
 
-    /// One reservation attempt against the host named by `m`, resolving
-    /// the host and its domain from a per-attempt registry snapshot.
-    /// `rng`: `Some` draws any loss decision from the caller's stream
-    /// (fan-out workers), `None` uses the fabric's shared stream (the
-    /// serial path, bit-identical to pre-fan-out behaviour).
+    /// One reservation attempt against the host named by `m`.
     fn reserve_one(
         &self,
-        registry: &RegistrySnapshot,
         m: &Mapping,
         req: &ReservationRequest,
-        rng: Option<&mut SmallRng>,
     ) -> Result<ReservationToken, LegionError> {
-        self.fabric.link_via(registry, self.loid, m.host, rng)?;
-        let host = registry.lookup_host(m.host).ok_or(LegionError::NoSuchHost(m.host))?;
+        self.fabric.link(self.loid, m.host)?;
+        let host = self.fabric.lookup_host(m.host).ok_or(LegionError::NoSuchHost(m.host))?;
         let now = self.fabric.clock().now();
         host.make_reservation(req, now)
     }
@@ -396,9 +378,7 @@ impl Enactor {
             }
 
             // Fill every position lacking a token under the current
-            // mapping; remember which positions fail and why. Thrash is
-            // accounted on the coordinating thread before dispatch; the
-            // reservations themselves may fan out across workers.
+            // mapping; remember which positions fail and why.
             let pending: Vec<usize> = (0..n).filter(|&i| held[i].is_none()).collect();
             let mut thrash = 0i64;
             for &i in &pending {
@@ -407,19 +387,9 @@ impl Enactor {
                     thrash += 1;
                 }
             }
-            let results = self.fill_positions(
-                &pending,
-                &current,
-                &mut demand,
-                &requester,
-                attempts,
-                &attempt_span,
-            );
+            let results = self.fill_positions(&pending, &current, &mut demand, &requester);
             let mut failed: Vec<usize> = Vec::new();
             let mut errors: Vec<LegionError> = Vec::new();
-            // `results` is in position order, so `errors` carries the
-            // same order the serial pass produced — classification
-            // below is width-independent.
             for (i, res) in results {
                 match res {
                     Ok(tok) => held[i] = Some(tok),
@@ -517,98 +487,21 @@ impl Enactor {
         Err(failure)
     }
 
-    /// One fill pass: reserves every `pending` position of `current`,
-    /// returning `(position, outcome)` pairs **sorted by position** so
-    /// callers observe the serial pass's error order regardless of
-    /// width.
-    ///
-    /// With `fanout <= 1` (or one position) this is the plain serial
-    /// loop, drawing loss from the fabric's shared stream — bit-for-bit
-    /// the pre-fan-out behaviour. Wider, the positions are strided
-    /// across scoped worker threads (the coordinating thread works the
-    /// first bucket itself, so width k spawns k-1 threads). Safety and
-    /// determinism:
-    ///
-    /// * hosts arbitrate admission under their own reservation-table
-    ///   locks, so concurrent `make_reservation` calls cannot
-    ///   over-commit — the property `tests/concurrency.rs` pins;
-    /// * every mapping resolves against one shared [`RegistrySnapshot`]
-    ///   taken for the attempt (no registry lock contention, and all
-    ///   workers see the same registry state);
-    /// * each position draws loss from its own `DetRng` stream keyed by
-    ///   (master seed, attempt nonce, position), so the draw a mapping
-    ///   sees is a pure function of the seed — independent of worker
-    ///   count, striding, and join order, and identical for any width
-    ///   k > 1;
-    /// * workers adopt the attempt span's [`SpanContext`], so message
-    ///   latency they charge lands on the same `ReserveAttempt` span
-    ///   the serial pass charges.
-    ///
-    /// [`SpanContext`]: legion_trace::SpanContext
+    /// One fill pass: builds the request for every `pending` position
+    /// of `current`, then reserves them in position order, returning
+    /// `(position, outcome)` pairs.
     fn fill_positions(
         &self,
         pending: &[usize],
         current: &[Mapping],
         demand: &mut HashMap<Loid, (u32, u32)>,
         requester: &Option<String>,
-        attempt: usize,
-        attempt_span: &SpanGuard,
     ) -> Vec<(usize, Result<ReservationToken, LegionError>)> {
-        let registry = self.fabric.registry();
         let jobs: Vec<(usize, ReservationRequest)> = pending
             .iter()
             .map(|&i| (i, self.request_with(&current[i], demand, requester)))
             .collect();
-        let width = self.config.fanout.max(1).min(jobs.len().max(1));
-        if width <= 1 {
-            return jobs
-                .into_iter()
-                .map(|(i, req)| (i, self.reserve_one(&registry, &current[i], &req, None)))
-                .collect();
-        }
-
-        // Attempt nonce for the per-position loss streams: virtual time
-        // decorrelates calls, the attempt counter decorrelates retries
-        // of the same mapping at an unadvanced clock.
-        let nonce = self
-            .fabric
-            .clock()
-            .now()
-            .as_micros()
-            .wrapping_add((attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let reserve = |(i, req): (usize, ReservationRequest)| {
-            let mut rng = self.fabric.rng().stream_indexed2("enactor-fanout", nonce, i as u64);
-            (i, self.reserve_one(&registry, &current[i], &req, Some(&mut rng)))
-        };
-        let mut buckets: Vec<Vec<(usize, ReservationRequest)>> =
-            (0..width).map(|_| Vec::new()).collect();
-        for (k, job) in jobs.into_iter().enumerate() {
-            buckets[k % width].push(job);
-        }
-        let ctx = attempt_span.context();
-        let mut results = std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .drain(1..)
-                .map(|bucket| {
-                    let ctx = ctx.clone();
-                    let reserve = &reserve;
-                    scope.spawn(move || {
-                        let _adopted = ctx.enter();
-                        bucket.into_iter().map(reserve).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // The coordinating thread works bucket 0 itself; its
-            // context stack already has the attempt span on top.
-            let mut out: Vec<_> =
-                buckets.pop().expect("bucket 0").into_iter().map(&reserve).collect();
-            for h in handles {
-                out.extend(h.join().expect("reservation fan-out worker panicked"));
-            }
-            out
-        });
-        results.sort_unstable_by_key(|&(i, _)| i);
-        results
+        jobs.into_iter().map(|(i, req)| (i, self.reserve_one(&current[i], &req))).collect()
     }
 
     /// The class reported for one failed fill pass: all-dead-hosts is
@@ -662,8 +555,8 @@ impl Enactor {
     /// `cancel_reservations` (Fig. 6): releases every token in the
     /// feedback. Returns how many tokens the hosts actually released —
     /// the paper's `int` return — counted per token, not per call, so
-    /// fan-out partial-failure cleanup reconciles exactly against the
-    /// ledger's `reservations_cancelled` counter.
+    /// partial-failure cleanup reconciles exactly against the ledger's
+    /// `reservations_cancelled` counter.
     pub fn cancel_reservations(&self, feedback: &ScheduleFeedback) -> usize {
         feedback.reservations.iter().filter(|tok| self.cancel_one(tok)).count()
     }

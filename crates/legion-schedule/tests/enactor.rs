@@ -280,11 +280,11 @@ fn enactor_respects_max_attempts() {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent reservation fan-out
+// Reservation fill pass: replay and backout
 // ---------------------------------------------------------------------------
 
-/// Token fingerprints that survive across fresh testbeds: LOIDs are
-/// minted from a process-global counter, so identify hosts by index.
+/// Token fingerprints comparable across fresh testbeds: hosts are
+/// identified by index.
 fn token_prints(t: &Testbed, fb: &legion_schedule::ScheduleFeedback) -> Vec<(usize, u64)> {
     fb.reservations
         .iter()
@@ -296,41 +296,17 @@ fn token_prints(t: &Testbed, fb: &legion_schedule::ScheduleFeedback) -> Vec<(usi
 }
 
 #[test]
-fn fanout_matches_serial_feedback_and_ledger() {
-    // Lossless links: the fill pass is deterministic, so every width
-    // must produce the same outcome, the same granted tokens, and the
-    // same ledger delta — parallelism is invisible to accounting.
-    let run = |fanout: usize| {
-        let t = testbed(6);
-        let enactor = Enactor::with_config(
-            t.fabric.clone(),
-            EnactorConfig { fanout, ..Default::default() },
-        );
-        let before = t.fabric.metrics().snapshot();
-        let req = ScheduleRequestList::single((0..6).map(|i| map(&t, i)).collect());
-        let fb = enactor.make_reservations(&req);
-        let delta = t.fabric.metrics().snapshot().delta(&before);
-        (fb.outcome.clone(), token_prints(&t, &fb), delta)
-    };
-    let serial = run(1);
-    assert!(matches!(serial.0, ScheduleOutcome::Reserved { .. }));
-    for width in [2usize, 3, 8, 64] {
-        assert_eq!(serial, run(width), "fanout {width} diverged from the serial pass");
-    }
-}
-
-#[test]
-fn fanout_width_one_replays_bit_identically_under_loss() {
-    // Width 1 must keep drawing loss from the fabric's shared stream:
-    // two identically-seeded runs agree on every draw, every token
-    // serial, and every ledger counter — the pre-fan-out serial path.
+fn serial_fill_replays_bit_identically_under_loss() {
+    // The fill pass draws loss from the fabric's shared stream: two
+    // identically-seeded runs agree on every draw, every token serial,
+    // and every ledger counter.
     let run = || {
         let t = testbed(4);
         t.fabric
             .with_topology(|topo| topo.set_drop_prob(DomainId(0), DomainId(0), 0.35));
         let enactor = Enactor::with_config(
             t.fabric.clone(),
-            EnactorConfig { fanout: 1, max_attempts: 5, ..Default::default() },
+            EnactorConfig { max_attempts: 5, ..Default::default() },
         );
         let before = t.fabric.metrics().snapshot();
         let req = ScheduleRequestList::single((0..4).map(|i| map(&t, i)).collect());
@@ -339,17 +315,17 @@ fn fanout_width_one_replays_bit_identically_under_loss() {
         (fb.outcome.clone(), token_prints(&t, &fb), delta)
     };
     let (a, b) = (run(), run());
-    assert_eq!(a, b, "width-1 runs with one seed must be bit-identical");
+    assert_eq!(a, b, "runs with one seed must be bit-identical");
     assert!(a.2.messages_dropped > 0, "the lossy link actually exercised the stream");
 }
 
 #[test]
-fn fanout_partial_failure_backs_out_and_reconciles() {
+fn partial_failure_backs_out_and_reconciles() {
     use legion_fabric::reconcile::{reconcile_trace, reconciliation_report};
 
     // One host refuses the requesting domain; there is no variant, so
-    // the attempt fails and the fan-out's five successful holds must all
-    // be backed out — and the cancel accounting must reconcile exactly
+    // the attempt fails and the fill pass's five successful holds must
+    // all be backed out — and the cancel accounting must reconcile exactly
     // against the trace.
     let t = testbed(6);
     t.typed_hosts[3].add_policy(Arc::new(DomainRefusal::new(["dom0"])));
@@ -359,7 +335,7 @@ fn fanout_partial_failure_backs_out_and_reconciles() {
 
     let enactor = Enactor::with_config(
         t.fabric.clone(),
-        EnactorConfig { fanout: 8, max_attempts: 1, ..Default::default() },
+        EnactorConfig { max_attempts: 1, ..Default::default() },
     );
     let fb = enactor.make_reservations(
         &ScheduleRequestList::single((0..6).map(|i| map(&t, i)).collect()),
@@ -373,7 +349,7 @@ fn fanout_partial_failure_backs_out_and_reconciles() {
     let rollup = sink.rollup();
     assert!(
         reconcile_trace(&rollup, &delta).is_empty(),
-        "fan-out cleanup must reconcile:\n{}",
+        "backout cleanup must reconcile:\n{}",
         reconciliation_report(&rollup, &delta)
     );
     assert_eq!(sink.open_spans(), 0);

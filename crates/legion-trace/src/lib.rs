@@ -33,7 +33,4 @@ pub mod sink;
 pub use export::{episode_report, latency_report, trace_json};
 pub use histogram::{bucket_of, bucket_upper_us, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use legion_core::{EpisodeId, Span, SpanId, SpanKind, SpanOutcome};
-pub use sink::{
-    charge_active, ClockFn, ContextGuard, EpisodeGuard, SpanContext, SpanGuard, TraceRollup,
-    TraceSink,
-};
+pub use sink::{charge_active, ClockFn, EpisodeGuard, SpanGuard, TraceRollup, TraceSink};

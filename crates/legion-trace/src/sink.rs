@@ -35,89 +35,6 @@ struct CtxEntry {
     span: SpanId,
 }
 
-/// A portable handle to an open span: episode + parent identity that can
-/// cross a `thread::spawn` boundary. The thread-local context stack is
-/// per-thread by design, so a worker thread starts with no episode; a
-/// coordinator captures a `SpanContext` from its open span and the
-/// worker [`enter`](SpanContext::enter)s it, after which spans the
-/// worker opens parent under the handed-off span and
-/// [`charge_active`] attributes message latency to it.
-#[derive(Clone)]
-pub struct SpanContext {
-    sink: Weak<TraceSink>,
-    episode: EpisodeId,
-    span: SpanId,
-}
-
-impl SpanContext {
-    /// A context that adopts nothing (disabled sink).
-    pub fn disabled() -> Self {
-        SpanContext { sink: Weak::new(), episode: EpisodeId::AMBIENT, span: SpanId::NONE }
-    }
-
-    /// Whether entering this context will adopt a live span.
-    pub fn is_recording(&self) -> bool {
-        self.span != SpanId::NONE && self.sink.strong_count() > 0
-    }
-
-    /// Pushes this context onto the current thread's stack; until the
-    /// returned guard drops, spans opened on this thread file under the
-    /// handed-off span. No-op (but still safe) when not recording.
-    pub fn enter(&self) -> ContextGuard {
-        if !self.is_recording() {
-            return ContextGuard {
-                sink: Weak::new(),
-                span: SpanId::NONE,
-                _thread: std::marker::PhantomData,
-            };
-        }
-        CONTEXT.with(|c| {
-            c.borrow_mut().push(CtxEntry {
-                sink: self.sink.clone(),
-                sink_ptr: self.sink.as_ptr(),
-                episode: self.episode,
-                span: self.span,
-            });
-        });
-        ContextGuard { sink: self.sink.clone(), span: self.span, _thread: std::marker::PhantomData }
-    }
-}
-
-impl std::fmt::Debug for SpanContext {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanContext")
-            .field("span", &self.span)
-            .field("recording", &self.is_recording())
-            .finish()
-    }
-}
-
-/// Scopes an adopted [`SpanContext`] on the current thread; pops the
-/// context entry on drop. Deliberately `!Send` — it guards a
-/// thread-local and must drop on the thread that entered.
-#[must_use = "a context guard scopes the adopted span until it is dropped"]
-pub struct ContextGuard {
-    sink: Weak<TraceSink>,
-    span: SpanId,
-    /// Pins the guard to the entering thread (`*const` is `!Send`).
-    _thread: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for ContextGuard {
-    fn drop(&mut self) {
-        if self.span == SpanId::NONE {
-            return;
-        }
-        let ptr = self.sink.as_ptr();
-        CONTEXT.with(|c| {
-            let mut ctx = c.borrow_mut();
-            if let Some(pos) = ctx.iter().rposition(|e| e.span == self.span && e.sink_ptr == ptr) {
-                ctx.remove(pos);
-            }
-        });
-    }
-}
-
 /// Charges simulated latency to the innermost open span on this thread
 /// (no-op when no span is open). The fabric calls this from its network
 /// model so every message's latency lands on the stage that sent it.
@@ -267,10 +184,6 @@ impl TraceSink {
         if let Some(s) = self.inner.lock().active.get_mut(&id.0) {
             s.charged += d;
         }
-    }
-
-    fn episode_of(&self, id: SpanId) -> EpisodeId {
-        self.inner.lock().active.get(&id.0).map(|s| s.episode).unwrap_or(EpisodeId::AMBIENT)
     }
 
     fn set_attr(&self, id: SpanId, key: &'static str, value: AttrValue) {
@@ -435,19 +348,6 @@ impl SpanGuard {
     pub fn charge(&self, d: SimDuration) {
         if let Some(sink) = &self.sink {
             sink.charge(self.id, d);
-        }
-    }
-
-    /// Captures a portable [`SpanContext`] for handing this span to a
-    /// worker thread (a disabled guard yields a non-recording context).
-    pub fn context(&self) -> SpanContext {
-        match &self.sink {
-            Some(sink) => SpanContext {
-                sink: Arc::downgrade(sink),
-                episode: sink.episode_of(self.id),
-                span: self.id,
-            },
-            None => SpanContext::disabled(),
         }
     }
 
@@ -712,88 +612,6 @@ mod tests {
         assert_eq!(groups[1].count(SpanKind::Schedule), 2);
         assert_eq!(groups[0].count(SpanKind::Episode), 1);
         assert_eq!(groups[0].total() + groups[1].total(), 5, "ambient span dropped");
-    }
-
-    #[test]
-    fn span_context_crosses_threads() {
-        let s = enabled_sink();
-        let ep = s.begin_episode("place", Loid::synthetic(LoidKind::Class, 1));
-        let outer = s.span(SpanKind::MakeReservations);
-        let ctx = outer.context();
-        let sink = Arc::clone(&s);
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let _g = ctx.enter();
-                let inner = sink.span(SpanKind::ReserveAttempt);
-                charge_active(SimDuration::from_micros(11));
-                inner.end_ok();
-            });
-        });
-        outer.end_ok();
-        ep.end_with(SpanOutcome::Ok);
-
-        let spans = s.spans();
-        let root = spans.iter().find(|x| x.kind == SpanKind::Episode).unwrap();
-        let mk = spans.iter().find(|x| x.kind == SpanKind::MakeReservations).unwrap();
-        let at = spans.iter().find(|x| x.kind == SpanKind::ReserveAttempt).unwrap();
-        // The worker's span parents under the handed-off span and joins
-        // its episode — not AMBIENT, despite the fresh thread.
-        assert_eq!(at.parent, mk.id);
-        assert_eq!(at.episode, root.episode);
-        assert_eq!(at.charged, SimDuration::from_micros(11));
-        assert_eq!(s.open_spans(), 0);
-    }
-
-    #[test]
-    fn charge_active_on_worker_charges_adopted_span() {
-        let s = enabled_sink();
-        let outer = s.span(SpanKind::ReserveAttempt);
-        let ctx = outer.context();
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let _g = ctx.enter();
-                // No span opened by the worker: the adopted span itself
-                // is the innermost context, so latency lands on it.
-                charge_active(SimDuration::from_micros(23));
-            });
-        });
-        outer.end_ok();
-        let spans = s.spans();
-        assert_eq!(spans[0].charged, SimDuration::from_micros(23));
-    }
-
-    #[test]
-    fn disabled_span_context_is_inert() {
-        let s = TraceSink::new();
-        let g = s.span(SpanKind::Schedule);
-        let ctx = g.context();
-        assert!(!ctx.is_recording());
-        let _guard = ctx.enter();
-        charge_active(SimDuration::from_micros(5));
-        drop(g);
-        assert!(s.spans().is_empty());
-    }
-
-    #[test]
-    fn context_guard_restores_previous_context() {
-        let s = enabled_sink();
-        let a = s.span(SpanKind::MakeReservations);
-        let b = s.span(SpanKind::ReserveAttempt);
-        let ctx_a = a.context();
-        {
-            let _g = ctx_a.enter();
-            // Innermost is now `a` again (re-entered on top of `b`).
-            charge_active(SimDuration::from_micros(3));
-        }
-        // Guard dropped: innermost reverts to `b`.
-        charge_active(SimDuration::from_micros(9));
-        b.end_ok();
-        a.end_ok();
-        let spans = s.spans();
-        let mk = spans.iter().find(|x| x.kind == SpanKind::MakeReservations).unwrap();
-        let at = spans.iter().find(|x| x.kind == SpanKind::ReserveAttempt).unwrap();
-        assert_eq!(mk.charged, SimDuration::from_micros(3));
-        assert_eq!(at.charged, SimDuration::from_micros(9));
     }
 
     #[test]

@@ -200,27 +200,22 @@ fn crash_expires_reservations_and_restart_reclaims_resources() {
     host.start_object(&fresh, &[spec(&tb, class)], later).unwrap();
 }
 
-mod fanout_equivalence {
-    //! Fan-out width is an implementation knob, not a semantic one:
-    //! whatever width the Enactor reserves with, the classification in
-    //! the returned [`ScheduleFeedback`] and the set of granted tokens
-    //! must be exactly what the serial fill pass produces, and hosts —
-    //! the sole admission arbiters — must never over-commit capacity.
+mod serial_fill {
+    //! The Enactor's fill pass is a pure function of the seed: two
+    //! same-seed runs return the same classification in the
+    //! [`ScheduleFeedback`] and the same granted tokens, and hosts — the
+    //! sole admission arbiters — never over-commit capacity.
 
     use super::*;
     use legion::schedule::ScheduleOutcome;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    /// One `make_reservations` run at `fanout` on a fresh testbed built
-    /// from `seed`. Returns what must be width-invariant: the outcome,
-    /// the granted tokens as (host index, host-local serial), and the
-    /// worst per-host multiplicity among the held reservations.
-    fn run_width(
-        seed: u64,
-        picks: &[usize],
-        fanout: usize,
-    ) -> (ScheduleOutcome, Vec<(usize, u64)>, usize) {
+    /// One `make_reservations` run on a fresh testbed built from `seed`.
+    /// Returns what must replay: the outcome, the granted tokens as
+    /// (host index, host-local serial), and the worst per-host
+    /// multiplicity among the held reservations.
+    fn run_once(seed: u64, picks: &[usize]) -> (ScheduleOutcome, Vec<(usize, u64)>, usize) {
         let tb = Testbed::build(TestbedConfig::wide(2, 3, seed));
         // Full-CPU demand on single-CPU workstations: every host can
         // hold exactly one of these, so duplicate picks must fail.
@@ -233,10 +228,7 @@ mod fanout_equivalence {
                 Mapping::new(class, host.loid(), host.get_compatible_vaults()[0])
             })
             .collect();
-        let enactor = Enactor::with_config(
-            tb.fabric.clone(),
-            EnactorConfig { fanout, ..Default::default() },
-        );
+        let enactor = Enactor::new(tb.fabric.clone());
         let fb = enactor.make_reservations(&ScheduleRequestList::single(mappings));
 
         let mut per_host: HashMap<Loid, usize> = HashMap::new();
@@ -257,22 +249,19 @@ mod fanout_equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Widths 1, 2 and 8 classify identically and never over-commit
-        /// a host, for arbitrary (possibly colliding) host picks.
+        /// Same-seed runs replay exactly and never over-commit a host,
+        /// for arbitrary (possibly colliding) host picks.
         #[test]
-        fn width_never_changes_classification_or_overcommits(
+        fn same_seed_replays_and_never_overcommits(
             seed in 0u64..512,
             picks in proptest::collection::vec(0usize..6, 1..9),
         ) {
-            let serial = run_width(seed, &picks, 1);
-            for width in [2usize, 8] {
-                let wide = run_width(seed, &picks, width);
-                prop_assert_eq!(&serial, &wide, "fanout {} diverged from serial", width);
-            }
+            let first = run_once(seed, &picks);
+            prop_assert_eq!(&first, &run_once(seed, &picks), "same-seed runs diverged");
             prop_assert!(
-                serial.2 <= 1,
+                first.2 <= 1,
                 "a single-CPU host held {} full-CPU reservations",
-                serial.2
+                first.2
             );
         }
     }

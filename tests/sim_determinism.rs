@@ -12,8 +12,8 @@
 //!   completes in seconds of wall clock because every wait (backoff,
 //!   wire latency, dwell) is an event.
 //! * **Equivalence** — the sim scheduler is a *scheduler*, not a new
-//!   semantics: the PR 4 replay scenario (width-1 reservation fan-out
-//!   under loss) and serial `place_many` produce the same outcomes,
+//!   semantics: the lossy reservation replay scenario (the serial fill
+//!   pass under loss) and serial `place_many` produce the same outcomes,
 //!   token serials, and ledger deltas under either substrate.
 
 use legion::core::Loid;
@@ -188,8 +188,8 @@ fn rebalance_sim_converges_like_the_thread_soak() {
 }
 
 #[test]
-fn reservation_fanout_under_sim_matches_thread_path_under_loss() {
-    // The PR 4 replay scenario: width-1 fan-out over a lossy link, five
+fn reservation_fill_under_sim_matches_thread_path_under_loss() {
+    // The replay scenario: the serial fill pass over a lossy link, five
     // attempts, shared loss stream. Running it inside a sim task — where
     // every backoff parks on the event queue instead of advancing the
     // clock inline — must reproduce the thread path outcome-for-outcome:
@@ -203,7 +203,7 @@ fn reservation_fanout_under_sim_matches_thread_path_under_loss() {
         });
         let enactor = Enactor::with_config(
             tb.fabric.clone(),
-            EnactorConfig { fanout: 1, max_attempts: 5, ..Default::default() },
+            EnactorConfig { max_attempts: 5, ..Default::default() },
         );
         let mappings: Vec<Mapping> = tb
             .unix_hosts
@@ -238,7 +238,7 @@ fn reservation_fanout_under_sim_matches_thread_path_under_loss() {
         let tb = Arc::new(tb);
         {
             let (tb, result) = (Arc::clone(&tb), Arc::clone(&result));
-            sim.spawn("pr4-replay", move |_| {
+            sim.spawn("reservation-replay", move |_| {
                 *result.lock().unwrap() = Some(scenario(&tb, class));
             });
         }

@@ -6,9 +6,12 @@ against the committed baselines (``git show <ref>:<file>``) and fails
 when any ``headline_*`` metric regresses beyond tolerance.
 
 Direction is inferred from the metric name: ``speedup``/``throughput``/
-``ops`` metrics must not drop, while ``ns``/``us``/``ms``/``latency``/
-``sweeps``/``migrations``/``wasted`` metrics must not grow. Metrics that
-match neither set are reported but not gated.
+``ops``/``completed`` metrics must not drop, while ``ns``/``us``/``ms``/
+``latency``/``sweeps``/``migrations``/``wasted`` metrics must not grow.
+Metrics that match neither set are reported but not gated. A headline
+present in the baseline but absent from the fresh file is reported
+``MISSING`` and fails the gate, so a bench cannot drop a gated number
+unnoticed.
 
 Usage (from the repo root, after re-running the benches)::
 
@@ -31,7 +34,7 @@ import os
 import subprocess
 import sys
 
-HIGHER_BETTER = ("speedup", "throughput", "ops_per", "hit_rate")
+HIGHER_BETTER = ("speedup", "throughput", "ops_per", "hit_rate", "completed")
 LOWER_BETTER = ("_ns", "_us", "_ms", "latency", "sweeps", "migrations",
                 "wasted", "rollback", "misses", "fairness")
 
@@ -95,6 +98,11 @@ def main() -> int:
                   file=sys.stderr)
             failures += 1
             continue
+        for metric in sorted(k for k in baseline
+                             if k.startswith("headline_") and k not in current):
+            rows.append((path, metric, f"{baseline[metric]:g}", "-",
+                         "-", "-", "MISSING"))
+            failures += 1
         for metric in headlines:
             if metric not in baseline:
                 rows.append((path, metric, "-", f"{current[metric]:g}",
@@ -133,6 +141,7 @@ def main() -> int:
 
     if failures:
         print(f"\nbench_gate: {failures} regression(s) beyond tolerance "
+              f"or missing headline(s) "
               f"(baseline {args.baseline_ref})", file=sys.stderr)
         return 1
     print(f"\nbench_gate: all headline metrics within tolerance "
