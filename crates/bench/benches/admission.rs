@@ -14,13 +14,14 @@
 //!
 //! Everything is virtual-time and seed-deterministic, so quick and full
 //! modes differ only in wall-clock timing repetitions and the headlines
-//! gate exactly (`--override ...=0.0` in CI). Emits
+//! declare an exact (0.0) gate tolerance. Emits
 //! `BENCH_admission.json` at the repo root. Run quick (CI smoke):
 //! `cargo bench -p legion-bench --bench admission -- --quick`.
 
 use legion::ingress::{ClassPolicy, PriorityClass};
 use legion::prelude::*;
 use legion::trace::SpanKind;
+use legion_bench::harness::{fixed, percentile, quick, BenchReport, Better};
 use std::time::Instant;
 
 const SEED: u64 = 0xAD_0115;
@@ -39,9 +40,7 @@ fn scenario(scale: f64) -> IngressSimConfig {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("BENCH_QUICK").is_ok_and(|v| v == "1");
-    let timing_runs = if quick { 2 } else { 6 };
+    let timing_runs = if quick() { 2 } else { 6 };
 
     // The deterministic arrival-rate sweep: same population, same seed,
     // rates scaled 1x / 2x / 4x.
@@ -71,9 +70,15 @@ fn main() {
         assert!(rerun.trace_json == base.trace_json, "nondeterministic trace");
     }
     wall_ms.sort_unstable();
-    let p50_ms = wall_ms[wall_ms.len() / 2].max(1);
+    let p50_ms = percentile(&wall_ms, 0.5).max(1);
 
     let fairness = base.worst_fairness().expect("two tenants per class, none starved");
+    assert!(fairness >= 1.0, "impossible max/min goodput ratio {fairness}");
+    let (x1, x4) = (sweep[0].1.metrics.ingress_admitted, sweep[2].1.metrics.ingress_admitted);
+    assert!(
+        x4 as f64 <= x1 as f64 * 1.2,
+        "4x arrival rate blew through the buckets: {x1} -> {x4} admitted"
+    );
     let place = |class: PriorityClass| {
         let h = base.class_rollups[class.index()].histogram(SpanKind::Episode);
         (h.p50_us(), h.p95_us(), h.p99_us())
@@ -93,72 +98,45 @@ fn main() {
     }
     println!("  goodput fairness (worst class) = {fairness:.4}, p50 wall {p50_ms} ms/run");
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"admission\",\n");
-    json.push_str("  \"schema_version\": 1,\n");
-    json.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    json.push_str(&format!("  \"seed\": {SEED},\n"));
-    json.push_str(&format!("  \"timing_runs\": {timing_runs},\n"));
-    json.push_str(
-        "  \"scenario\": \"2x4 bed, 6 tenants (2 per class, Poisson + Pareto), tight \
-         fair-use policies, 900 virtual s, rate sweep 1x/2x/4x\",\n",
+    let mut report = BenchReport::new("admission");
+    report.param("seed", SEED).param("timing_runs", timing_runs).param(
+        "scenario",
+        "2x4 bed, 6 tenants (2 per class, Poisson + Pareto), tight fair-use policies, \
+         900 virtual s, rate sweep 1x/2x/4x",
     );
     for class in PriorityClass::ALL {
+        let name = match class {
+            PriorityClass::Interactive => "headline_interactive_p99_place_us",
+            PriorityClass::Production => "headline_production_p99_place_us",
+            PriorityClass::BestEffort => "headline_besteffort_p99_place_us",
+        };
         let (p50, p95, p99) = place(class);
-        json.push_str(&format!(
-            "  \"headline_{}_p99_place_us\": {p99},\n",
-            class.as_str()
-        ));
-        json.push_str(&format!(
-            "  \"{0}_p50_place_us\": {p50},\n  \"{0}_p95_place_us\": {p95},\n",
-            class.as_str()
-        ));
+        report
+            .headline(name, p99, "us", Better::Lower, 0.0)
+            .metric(format_args!("{}_p50_place_us", class.as_str()), p50)
+            .metric(format_args!("{}_p95_place_us", class.as_str()), p95);
     }
-    json.push_str(&format!("  \"headline_goodput_fairness_ratio\": {fairness:.6},\n"));
-    json.push_str(&format!("  \"run_wall_p50_ms\": {p50_ms},\n"));
-    json.push_str("  \"results\": [\n");
-    let mut rows: Vec<String> = Vec::new();
+    report.headline(
+        "headline_goodput_fairness_ratio",
+        fixed(fairness, 6),
+        "ratio",
+        Better::Lower,
+        0.0,
+    );
     for (class, ratio) in &base.fairness {
         if let Some(r) = ratio {
-            rows.push(format!(
-                "    {{\"metric\": \"{}_goodput_fairness\", \"value\": {r:.6}}}",
-                class.as_str()
-            ));
+            report.metric(format_args!("{}_goodput_fairness", class.as_str()), fixed(*r, 6));
         }
     }
-    for (scale, report) in &sweep {
-        let m = &report.metrics;
-        rows.push(format!(
-            "    {{\"metric\": \"sweep_x{scale:.0}_submitted\", \"value\": {}}}",
-            m.ingress_submitted
-        ));
-        rows.push(format!(
-            "    {{\"metric\": \"sweep_x{scale:.0}_admitted\", \"value\": {}}}",
-            m.ingress_admitted
-        ));
-        rows.push(format!(
-            "    {{\"metric\": \"sweep_x{scale:.0}_rejected_rate\", \"value\": {}}}",
-            m.ingress_rejected_rate
-        ));
-        rows.push(format!(
-            "    {{\"metric\": \"sweep_x{scale:.0}_rejected_queue\", \"value\": {}}}",
-            m.ingress_rejected_queue
-        ));
-        rows.push(format!(
-            "    {{\"metric\": \"sweep_x{scale:.0}_completed\", \"value\": {}}}",
-            m.ingress_completed
-        ));
+    for (scale, run) in &sweep {
+        let m = &run.metrics;
+        report
+            .metric(format_args!("sweep_x{scale:.0}_submitted"), m.ingress_submitted)
+            .metric(format_args!("sweep_x{scale:.0}_admitted"), m.ingress_admitted)
+            .metric(format_args!("sweep_x{scale:.0}_rejected_rate"), m.ingress_rejected_rate)
+            .metric(format_args!("sweep_x{scale:.0}_rejected_queue"), m.ingress_rejected_queue)
+            .metric(format_args!("sweep_x{scale:.0}_completed"), m.ingress_completed);
     }
-    rows.push(format!(
-        "    {{\"metric\": \"events_executed\", \"value\": {}}}",
-        base.stats.events
-    ));
-    rows.push(format!("    {{\"metric\": \"run_wall_p50_ms\", \"value\": {p50_ms}}}"));
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_admission.json");
-    std::fs::write(out, &json).expect("write BENCH_admission.json");
-    println!("wrote {out}");
+    report.metric("events_executed", base.stats.events).metric("run_wall_p50_ms", p50_ms);
+    report.write();
 }

@@ -2,21 +2,18 @@
 //! Collection query engine: indexed planner vs linear scan, at 100 /
 //! 1k / 10k records, across selective and non-selective queries.
 //!
-//! Unlike the criterion-style figure benches, this harness also emits
-//! `BENCH_collection_query.json` at the repo root — the first point of
-//! the perf trajectory — with before (`query_scan`, the pre-index
-//! linear scan) and after (`query_parsed`, the planned path) numbers
-//! side by side. Methodology matches the vendored criterion shim:
-//! warmup, then median over fixed-count samples of a calibrated
-//! iteration batch.
+//! Emits `BENCH_collection_query.json` at the repo root with before
+//! (`query_scan`, the pre-index linear scan) and after
+//! (`query_parsed`, the planned path) numbers side by side, timed by
+//! the harness's calibrate/warm-up/median timer.
 //!
 //! Run quick (CI smoke): `cargo bench -p legion-bench --bench
 //! collection_query -- --quick`.
 
 use legion::collection::{parse_query, Collection, Query};
 use legion::core::{AttrValue, AttributeDb, Loid, LoidKind, SimTime};
+use legion_bench::harness::{fixed, median_ns, quick, BenchReport, Better};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A synthetic collection of `n` host-shaped records; `HPUX` appears on
 /// exactly 1% of hosts so equality on it is the selective case the
@@ -65,36 +62,6 @@ const QUERIES: &[(&str, &str)] = &[
     ("fallback_unanchored", r#"match($host_os_name, "IRIX")"#),
 ];
 
-/// Median nanoseconds per call of `f`, criterion-shim style: calibrate
-/// an iteration batch to ~`target_ms`, then take the median of
-/// `samples` batch timings.
-fn median_ns(samples: usize, target_ms: f64, mut f: impl FnMut() -> usize) -> f64 {
-    // Calibration.
-    let start = Instant::now();
-    std::hint::black_box(f());
-    let once = start.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((target_ms / 1e3 / once).ceil() as u64).clamp(1, 1_000_000);
-    // Warmup.
-    for _ in 0..iters.min(100) {
-        std::hint::black_box(f());
-    }
-    let mut timings: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(f());
-            }
-            start.elapsed().as_secs_f64() * 1e9 / iters as f64
-        })
-        .collect();
-    timings.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    timings[timings.len() / 2]
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 struct Row {
     label: &'static str,
     text: &'static str,
@@ -105,9 +72,7 @@ struct Row {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("BENCH_QUICK").is_ok_and(|v| v == "1");
-    let (samples, target_ms) = if quick { (5, 2.0) } else { (15, 20.0) };
+    let (samples, target_ms) = if quick() { (5, 2.0) } else { (15, 20.0) };
     let sizes: &[usize] = &[100, 1000, 10_000];
 
     let mut rows: Vec<Row> = Vec::new();
@@ -138,41 +103,28 @@ fn main() {
         headline.scan_ns, headline.indexed_ns
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"collection_query\",\n");
-    json.push_str("  \"schema_version\": 1,\n");
-    json.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    json.push_str(&format!("  \"samples_per_measurement\": {samples},\n"));
-    json.push_str(
-        "  \"before\": \"query_scan: the pre-index linear scan over every record\",\n",
-    );
-    json.push_str(
-        "  \"after\": \"query_parsed: planner + secondary indexes, scan fallback\",\n",
-    );
-    json.push_str(&format!(
-        "  \"headline_selective_eq_10k_speedup\": {headline_speedup:.2},\n"
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"query\": \"{}\", \"text\": \"{}\", \"records\": {}, \"hits\": {}, \"scan_ns_per_query\": {:.0}, \"indexed_ns_per_query\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            r.label,
-            json_escape(r.text),
-            r.records,
-            r.hits,
-            r.scan_ns,
-            r.indexed_ns,
-            r.scan_ns / r.indexed_ns,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    let mut report = BenchReport::new("collection_query");
+    report
+        .param("samples_per_measurement", samples)
+        .param("before", "query_scan: the pre-index linear scan over every record")
+        .param("after", "query_parsed: planner + secondary indexes, scan fallback")
+        .headline(
+            "headline_selective_eq_10k_speedup",
+            fixed(headline_speedup, 2),
+            "x",
+            Better::Higher,
+            0.5,
+        );
+    for r in &rows {
+        report.row(vec![
+            ("query", r.label.into()),
+            ("text", r.text.into()),
+            ("records", r.records.into()),
+            ("hits", r.hits.into()),
+            ("scan_ns_per_query", fixed(r.scan_ns, 0)),
+            ("indexed_ns_per_query", fixed(r.indexed_ns, 0)),
+            ("speedup", fixed(r.scan_ns / r.indexed_ns, 2)),
+        ]);
     }
-    json.push_str("  ]\n}\n");
-
-    // The bench binary runs from the workspace (cargo sets the crate's
-    // manifest dir); the JSON lands at the repo root next to the other
-    // trajectory artifacts.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_collection_query.json");
-    std::fs::write(out, &json).expect("write BENCH_collection_query.json");
-    println!("wrote {out}");
+    report.write();
 }

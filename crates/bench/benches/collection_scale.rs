@@ -14,6 +14,7 @@
 
 use legion::collection::{parse_query, Collection, Query};
 use legion::core::{AttributeDb, Loid, LoidKind, SimTime};
+use legion_bench::harness::{fixed, median_ns, quick, BenchReport, Better};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,33 +55,6 @@ const QUERIES: &[(&str, &str)] = &[
     ("non_selective_range", "$host_load >= 0.0"),
 ];
 
-/// Median nanoseconds per call of `f` (criterion-shim methodology:
-/// calibrate a batch to ~`target_ms`, median of `samples` batches).
-fn median_ns(samples: usize, target_ms: f64, mut f: impl FnMut() -> usize) -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    let once = start.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((target_ms / 1e3 / once).ceil() as u64).clamp(1, 1_000_000);
-    for _ in 0..iters.min(100) {
-        std::hint::black_box(f());
-    }
-    let mut timings: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(f());
-            }
-            start.elapsed().as_secs_f64() * 1e9 / iters as f64
-        })
-        .collect();
-    timings.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    timings[timings.len() / 2]
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 struct Row {
     label: &'static str,
     text: &'static str,
@@ -91,8 +65,7 @@ struct Row {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = quick();
     let (samples, target_ms) = if quick { (5, 2.0) } else { (15, 20.0) };
     // Quick mode runs the same 100k scale the gate's headlines compare;
     // the 1M tier is full-mode only.
@@ -144,34 +117,39 @@ fn main() {
         "acceptance: paper-anchored regex must be ≥20x vs scan at 100k (got {paper:.1}x)"
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"collection_scale\",\n");
-    json.push_str("  \"schema_version\": 1,\n");
-    json.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    json.push_str(&format!("  \"samples_per_measurement\": {samples},\n"));
-    json.push_str("  \"before\": \"query_scan: linear scan with per-record regex evaluation\",\n");
-    json.push_str("  \"after\": \"query_parsed: sharded trigram/prefix indexes, sorted-ID intersection, exact-plan skip\",\n");
-    json.push_str(&format!("  \"headline_paper_anchored_100k_speedup\": {paper:.2},\n"));
-    json.push_str(&format!("  \"headline_trigram_contains_100k_speedup\": {trigram:.2},\n"));
-    json.push_str(&format!("  \"headline_shard_fanout_100k_speedup\": {fanout:.2},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"query\": \"{}\", \"text\": \"{}\", \"records\": {}, \"hits\": {}, \"scan_ns_per_query\": {:.0}, \"indexed_ns_per_query\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            r.label,
-            json_escape(r.text),
-            r.records,
-            r.hits,
-            r.scan_ns,
-            r.indexed_ns,
-            r.scan_ns / r.indexed_ns,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    let mut report = BenchReport::new("collection_scale");
+    report
+        .param("samples_per_measurement", samples)
+        .param("before", "query_scan: linear scan with per-record regex evaluation")
+        .param(
+            "after",
+            "query_parsed: sharded trigram/prefix indexes, sorted-ID intersection, exact-plan skip",
+        )
+        .headline("headline_paper_anchored_100k_speedup", fixed(paper, 2), "x", Better::Higher, 0.5)
+        .headline(
+            "headline_trigram_contains_100k_speedup",
+            fixed(trigram, 2),
+            "x",
+            Better::Higher,
+            0.75,
+        )
+        .headline(
+            "headline_shard_fanout_100k_speedup",
+            fixed(fanout, 2),
+            "x",
+            Better::Higher,
+            0.75,
+        );
+    for r in &rows {
+        report.row(vec![
+            ("query", r.label.into()),
+            ("text", r.text.into()),
+            ("records", r.records.into()),
+            ("hits", r.hits.into()),
+            ("scan_ns_per_query", fixed(r.scan_ns, 0)),
+            ("indexed_ns_per_query", fixed(r.indexed_ns, 0)),
+            ("speedup", fixed(r.scan_ns / r.indexed_ns, 2)),
+        ]);
     }
-    json.push_str("  ]\n}\n");
-
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_collection_scale.json");
-    std::fs::write(out, &json).expect("write BENCH_collection_scale.json");
-    println!("wrote {out}");
+    report.write();
 }

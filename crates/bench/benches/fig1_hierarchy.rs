@@ -5,66 +5,54 @@
 //! own quick placement (`create_instance(None)`) and directed placement
 //! with a pre-obtained reservation, plus class report queries.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use legion::prelude::*;
 use legion_bench::bench_bed;
+use legion_bench::harness::Exhibit;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig1_hierarchy");
+fn main() {
+    let g = Exhibit::new("fig1_hierarchy");
 
-    g.bench_function("create_instance_default_placement", |b| {
-        b.iter_batched(
-            || bench_bed(16, 1),
-            |(tb, class)| {
-                let class_obj = tb.fabric.lookup_class(class).expect("registered");
-                for _ in 0..16 {
-                    class_obj.create_instance(None, &*tb.fabric).expect("placement");
-                }
-            },
-            BatchSize::SmallInput,
-        );
-    });
+    g.time_batched(
+        "create_instance_default_placement",
+        || bench_bed(16, 1),
+        |(tb, class)| {
+            let class_obj = tb.fabric.lookup_class(class).expect("registered");
+            for _ in 0..16 {
+                class_obj.create_instance(None, &*tb.fabric).expect("placement");
+            }
+        },
+    );
 
-    g.bench_function("create_instance_directed", |b| {
-        b.iter_batched(
-            || {
-                let (tb, class) = bench_bed(16, 2);
-                // Pre-obtain 16 reservations round-robin over hosts.
-                let placements: Vec<legion::core::Placement> = (0..16)
-                    .map(|i| {
-                        let h = &tb.unix_hosts[i % tb.unix_hosts.len()];
-                        let vault = h.get_compatible_vaults()[0];
-                        let req = ReservationRequest::instantaneous(
-                            class,
-                            vault,
-                            SimDuration::from_secs(3600),
-                        )
-                        .with_demand(10, 32);
-                        let token =
-                            h.make_reservation(&req, tb.fabric.clock().now()).expect("grant");
-                        legion::core::Placement { host: h.loid(), vault, token }
-                    })
-                    .collect();
-                (tb, class, placements)
-            },
-            |(tb, class, placements)| {
-                let class_obj = tb.fabric.lookup_class(class).expect("registered");
-                for p in placements {
-                    class_obj.create_instance(Some(p), &*tb.fabric).expect("placement");
-                }
-            },
-            BatchSize::SmallInput,
-        );
-    });
+    g.time_batched(
+        "create_instance_directed",
+        || {
+            let (tb, class) = bench_bed(16, 2);
+            // Pre-obtain 16 reservations round-robin over hosts.
+            let placements: Vec<legion::core::Placement> = (0..16)
+                .map(|i| {
+                    let h = &tb.unix_hosts[i % tb.unix_hosts.len()];
+                    let vault = h.get_compatible_vaults()[0];
+                    let req = ReservationRequest::instantaneous(
+                        class,
+                        vault,
+                        SimDuration::from_secs(3600),
+                    )
+                    .with_demand(10, 32);
+                    let token = h.make_reservation(&req, tb.fabric.clock().now()).expect("grant");
+                    legion::core::Placement { host: h.loid(), vault, token }
+                })
+                .collect();
+            (tb, class, placements)
+        },
+        |(tb, class, placements)| {
+            let class_obj = tb.fabric.lookup_class(class).expect("registered");
+            for p in placements {
+                class_obj.create_instance(Some(p), &*tb.fabric).expect("placement");
+            }
+        },
+    );
 
-    g.bench_function("class_report_query", |b| {
-        let (tb, class) = bench_bed(4, 3);
-        let ctx = tb.ctx();
-        b.iter(|| std::hint::black_box(ctx.class_report(class).expect("report")));
-    });
-
-    g.finish();
+    let (tb, class) = bench_bed(4, 3);
+    let ctx = tb.ctx();
+    g.time("class_report_query", || ctx.class_report(class).expect("report"));
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -6,29 +6,21 @@
 //! slowly". This bench times the same 4-object placement under each of
 //! the four layering schemes.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use legion::prelude::*;
 use legion::schedulers::{place_layered, LayeringScheme};
 use legion_bench::bench_bed;
+use legion_bench::harness::Exhibit;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig2_layering");
+fn main() {
+    let g = Exhibit::new("fig2_layering");
     for scheme in LayeringScheme::ALL {
-        g.bench_function(scheme.label(), |b| {
-            b.iter_batched(
-                || bench_bed(16, 7),
-                |(tb, class)| {
-                    let enactor = std::sync::Arc::new(Enactor::new(tb.fabric.clone()));
-                    let placed =
-                        place_layered(scheme, &tb.ctx(), &enactor, class, 4, 9).expect("places");
-                    std::hint::black_box(placed)
-                },
-                BatchSize::SmallInput,
-            );
-        });
+        g.time_batched(
+            scheme.label(),
+            || bench_bed(16, 7),
+            |(tb, class)| {
+                let enactor = std::sync::Arc::new(Enactor::new(tb.fabric.clone()));
+                place_layered(scheme, &tb.ctx(), &enactor, class, 4, 9).expect("places")
+            },
+        );
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

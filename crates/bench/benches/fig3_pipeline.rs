@@ -5,31 +5,27 @@
 //! computation, reservation negotiation, instantiation — timed as one
 //! pipeline while the number of hosts grows.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use legion::prelude::*;
 use legion_bench::bench_bed;
+use legion_bench::harness::Exhibit;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig3_pipeline");
-    g.sample_size(20);
+fn main() {
+    let g = Exhibit::new("fig3_pipeline");
     for hosts in [16usize, 64, 256, 1024] {
-        g.bench_with_input(BenchmarkId::new("place_8", hosts), &hosts, |b, &hosts| {
-            b.iter_batched(
-                || bench_bed(hosts, hosts as u64),
-                |(tb, class)| {
-                    let scheduler = RandomScheduler::new(1);
-                    let enactor = Enactor::new(tb.fabric.clone());
-                    let driver = ScheduleDriver::new(std::sync::Arc::new(scheduler), std::sync::Arc::new(enactor));
-                    driver
-                        .place(&PlacementRequest::new().class(class, 8), &tb.ctx())
-                        .expect("placement")
-                },
-                BatchSize::SmallInput,
-            );
-        });
+        g.time_batched(
+            format_args!("place_8/{hosts}"),
+            || bench_bed(hosts, hosts as u64),
+            |(tb, class)| {
+                let scheduler = RandomScheduler::new(1);
+                let enactor = Enactor::new(tb.fabric.clone());
+                let driver = ScheduleDriver::new(
+                    std::sync::Arc::new(scheduler),
+                    std::sync::Arc::new(enactor),
+                );
+                driver
+                    .place(&PlacementRequest::new().class(class, 8), &tb.ctx())
+                    .expect("placement")
+            },
+        );
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -2,9 +2,9 @@
 //! E-F4 (Fig. 4): Collection query throughput vs records and query
 //! complexity, plus update (push) and pull-sweep costs.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use legion::collection::Collection;
 use legion::core::{AttrValue, AttributeDb, Loid, LoidKind, SimTime};
+use legion_bench::harness::Exhibit;
 
 /// A synthetic collection of `n` host-shaped records.
 fn synthetic_collection(n: usize) -> std::sync::Arc<Collection> {
@@ -38,24 +38,19 @@ const QUERIES: &[(&str, &str)] = &[
     ),
 ];
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig4_collection");
+fn main() {
+    let g = Exhibit::new("fig4_collection");
     for &n in &[100usize, 1000, 10_000] {
         let coll = synthetic_collection(n);
-        g.throughput(Throughput::Elements(n as u64));
         for (label, q) in QUERIES {
-            g.bench_with_input(
-                BenchmarkId::new(*label, n),
-                &coll,
-                |b, coll| {
-                    // Pre-compile once, as Schedulers do.
-                    let compiled = legion::collection::parse_query(q).expect("valid query");
-                    b.iter(|| std::hint::black_box(coll.query_parsed(&compiled).len()));
-                },
-            );
+            // Pre-compile once, as Schedulers do.
+            let compiled = legion::collection::parse_query(q).expect("valid query");
+            g.time_elements(format_args!("{label}/{n}"), n as u64, || {
+                coll.query_parsed(&compiled).len()
+            });
         }
-        g.bench_with_input(BenchmarkId::new("parse_and_query", n), &coll, |b, coll| {
-            b.iter(|| std::hint::black_box(coll.query(QUERIES[1].1).expect("ok").len()));
+        g.time_elements(format_args!("parse_and_query/{n}"), n as u64, || {
+            coll.query(QUERIES[1].1).expect("ok").len()
         });
     }
 
@@ -66,12 +61,8 @@ fn bench(c: &mut Criterion) {
         AttributeDb::new(),
         SimTime::ZERO,
     );
-    g.bench_function("push_update_one_record", |b| {
-        let attrs = AttributeDb::new().with("host_load", 0.7).with("host_free_memory_mb", 64i64);
-        b.iter(|| coll.update(&cred, &attrs, SimTime::ZERO).expect("authorized"));
+    let attrs = AttributeDb::new().with("host_load", 0.7).with("host_free_memory_mb", 64i64);
+    g.time("push_update_one_record", || {
+        coll.update(&cred, &attrs, SimTime::ZERO).expect("authorized")
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,10 +1,10 @@
 #![allow(missing_docs)]
 //! E-F5 (Fig. 5): variant-walk cost — bitmap delta vs naive remake.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use legion::prelude::*;
 use legion::schedule::{MasterSchedule, ScheduleRequest, VariantSchedule};
 use legion_bench::bench_bed;
+use legion_bench::harness::Exhibit;
 
 /// Builds the E-F5 scenario: a 6-instance master whose last position is
 /// blocked, three variants fixing only that position (the third works).
@@ -33,27 +33,21 @@ fn scenario(seed: u64) -> (legion::apps::Testbed, ScheduleRequestList) {
     (tb, req)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig5_variants");
+fn main() {
+    let g = Exhibit::new("fig5_variants");
     for (label, bitmap_walk) in [("bitmap_delta_walk", true), ("naive_full_remake", false)] {
-        g.bench_function(label, |b| {
-            b.iter_batched(
-                || scenario(17),
-                |(tb, req)| {
-                    let enactor = Enactor::with_config(
-                        tb.fabric.clone(),
-                        EnactorConfig { bitmap_walk, ..Default::default() },
-                    );
-                    let fb = enactor.make_reservations(&req);
-                    assert!(fb.reserved());
-                    std::hint::black_box(fb)
-                },
-                BatchSize::SmallInput,
-            );
-        });
+        g.time_batched(
+            label,
+            || scenario(17),
+            |(tb, req)| {
+                let enactor = Enactor::with_config(
+                    tb.fabric.clone(),
+                    EnactorConfig { bitmap_walk, ..Default::default() },
+                );
+                let fb = enactor.make_reservations(&req);
+                assert!(fb.reserved());
+                fb
+            },
+        );
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

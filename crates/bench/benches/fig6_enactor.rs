@@ -2,77 +2,53 @@
 //! E-F6 (Fig. 6): Enactor operations — co-allocation across domains,
 //! reservation + cancellation round-trips.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use legion::prelude::*;
 use legion_bench::bench_bed_wide;
+use legion_bench::harness::Exhibit;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig6_enactor");
+/// Maps one instance onto every host of a one-domain bed.
+fn one_per_host(tb: &Testbed, class: Loid) -> Vec<Mapping> {
+    tb.unix_hosts.iter().map(|h| Mapping::new(class, h.loid(), tb.vault_loids[0])).collect()
+}
+
+fn main() {
+    let g = Exhibit::new("fig6_enactor");
     for domains in [1usize, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("coallocate_one_per_domain", domains),
-            &domains,
-            |b, &domains| {
-                b.iter_batched(
-                    || bench_bed_wide(domains, 2, domains as u64),
-                    |(tb, class)| {
-                        let m = |d: usize| {
-                            Mapping::new(
-                                class,
-                                tb.unix_hosts[d * 2].loid(),
-                                tb.vault_loids[d],
-                            )
-                        };
-                        let master: Vec<Mapping> = (0..domains).map(m).collect();
-                        let enactor = Enactor::new(tb.fabric.clone());
-                        let fb = enactor
-                            .make_reservations(&ScheduleRequestList::single(master));
-                        assert!(fb.reserved());
-                        std::hint::black_box(fb)
-                    },
-                    BatchSize::SmallInput,
-                );
-            },
-        );
-    }
-
-    g.bench_function("reserve_then_cancel_8", |b| {
-        b.iter_batched(
-            || bench_bed_wide(1, 8, 5),
+        g.time_batched(
+            format_args!("coallocate_one_per_domain/{domains}"),
+            || bench_bed_wide(domains, 2, domains as u64),
             |(tb, class)| {
-                let master: Vec<Mapping> = tb
-                    .unix_hosts
-                    .iter()
-                    .map(|h| Mapping::new(class, h.loid(), tb.vault_loids[0]))
+                let master: Vec<Mapping> = (0..domains)
+                    .map(|d| Mapping::new(class, tb.unix_hosts[d * 2].loid(), tb.vault_loids[d]))
                     .collect();
                 let enactor = Enactor::new(tb.fabric.clone());
                 let fb = enactor.make_reservations(&ScheduleRequestList::single(master));
                 assert!(fb.reserved());
-                enactor.cancel_reservations(&fb);
+                fb
             },
-            BatchSize::SmallInput,
         );
-    });
+    }
 
-    g.bench_function("full_enact_8", |b| {
-        b.iter_batched(
-            || bench_bed_wide(1, 8, 6),
-            |(tb, class)| {
-                let master: Vec<Mapping> = tb
-                    .unix_hosts
-                    .iter()
-                    .map(|h| Mapping::new(class, h.loid(), tb.vault_loids[0]))
-                    .collect();
-                let enactor = Enactor::new(tb.fabric.clone());
-                let fb = enactor.make_reservations(&ScheduleRequestList::single(master));
-                let placed = enactor.enact_schedule(&fb).expect("enact");
-                std::hint::black_box(placed)
-            },
-            BatchSize::SmallInput,
-        );
-    });
-    g.finish();
+    g.time_batched(
+        "reserve_then_cancel_8",
+        || bench_bed_wide(1, 8, 5),
+        |(tb, class)| {
+            let enactor = Enactor::new(tb.fabric.clone());
+            let request = ScheduleRequestList::single(one_per_host(&tb, class));
+            let fb = enactor.make_reservations(&request);
+            assert!(fb.reserved());
+            enactor.cancel_reservations(&fb);
+        },
+    );
+
+    g.time_batched(
+        "full_enact_8",
+        || bench_bed_wide(1, 8, 6),
+        |(tb, class)| {
+            let enactor = Enactor::new(tb.fabric.clone());
+            let request = ScheduleRequestList::single(one_per_host(&tb, class));
+            let fb = enactor.make_reservations(&request);
+            enactor.enact_schedule(&fb).expect("enact")
+        },
+    );
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -2,50 +2,32 @@
 //! E-F8 (Figs. 8-9): IRS generation cost vs NSched, and the
 //! lookups-saved comparison against repeated Random generation.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use legion::prelude::*;
 use legion_bench::bench_bed;
+use legion_bench::harness::Exhibit;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig8_irs");
+fn main() {
+    let g = Exhibit::new("fig8_irs");
     let (tb, class) = bench_bed(64, 8);
     let ctx = tb.ctx();
+    let request = || PlacementRequest::new().class(class, 8);
 
     for nsched in [2usize, 4, 8, 16] {
         let irs = IrsScheduler::new(1, nsched);
-        g.bench_with_input(
-            BenchmarkId::new("irs_generate_8_instances", nsched),
-            &nsched,
-            |b, _| {
-                b.iter(|| {
-                    irs.compute_schedule(&PlacementRequest::new().class(class, 8), &ctx)
-                        .expect("schedule")
-                });
-            },
-        );
+        g.time(format_args!("irs_generate_8_instances/{nsched}"), || {
+            irs.compute_schedule(&request(), &ctx).expect("schedule")
+        });
     }
 
     // The paper's stated saving: IRS makes one Collection lookup where
     // n Random generations make n. Time both producing 8 schedules'
     // worth of mappings.
-    g.bench_function("irs_one_gen_nsched8", |b| {
-        let irs = IrsScheduler::new(2, 8);
-        b.iter(|| {
-            irs.compute_schedule(&PlacementRequest::new().class(class, 8), &ctx)
-                .expect("schedule")
-        });
+    let irs = IrsScheduler::new(2, 8);
+    g.time("irs_one_gen_nsched8", || irs.compute_schedule(&request(), &ctx).expect("schedule"));
+    let rnd = RandomScheduler::new(2);
+    g.time("random_8_generations", || {
+        for _ in 0..8 {
+            rnd.compute_schedule(&request(), &ctx).expect("schedule");
+        }
     });
-    g.bench_function("random_8_generations", |b| {
-        let rnd = RandomScheduler::new(2);
-        b.iter(|| {
-            for _ in 0..8 {
-                rnd.compute_schedule(&PlacementRequest::new().class(class, 8), &ctx)
-                    .expect("schedule");
-            }
-        });
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -26,43 +26,21 @@ use legion::core::host::well_known;
 use legion::core::LoidKind;
 use legion::prelude::*;
 use legion::schedulers::{DriverReport, PlacementSpec, RandomScheduler, Scheduler};
+use legion_bench::harness::{fixed, median_ns, quick, BenchReport, Better};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Real nanoseconds slept per simulated microsecond of link latency:
 /// 1/100 real time, so the testbed's 40 ms inter-domain RTT emulates as
 /// a 400 µs thread-blocking wait.
 const WIRE_NS_PER_SIM_US: u64 = 10;
+const _: () = assert!(WIRE_NS_PER_SIM_US > 0, "wire emulation must stay on");
 
-/// Median nanoseconds per call of `f`, criterion-shim style: calibrate
-/// an iteration batch to ~`target_ms`, then take the median of
-/// `samples` batch timings.
-fn median_ns(samples: usize, target_ms: f64, mut f: impl FnMut() -> usize) -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    let once = start.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((target_ms / 1e3 / once).ceil() as u64).clamp(1, 1_000_000);
-    for _ in 0..iters.min(100) {
-        std::hint::black_box(f());
-    }
-    let mut timings: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(f());
-            }
-            start.elapsed().as_secs_f64() * 1e9 / iters as f64
-        })
-        .collect();
-    timings.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    timings[timings.len() / 2]
-}
-
+/// One tier: the `before` and `after` arm's median ns per cycle.
 struct Row {
     part: &'static str,
     label: &'static str,
-    serial_ns: f64,
-    parallel_ns: f64,
+    before_ns: f64,
+    after_ns: f64,
 }
 
 /// Part A: 32 two-instance placement requests, looped `place` vs
@@ -98,15 +76,15 @@ fn bulk_place(preload: usize, samples: usize, target_ms: f64) -> Row {
         placed
     };
 
-    let serial_ns = median_ns(samples, target_ms, || {
+    let before_ns = median_ns(samples, target_ms, || {
         let reports = driver.place_many(&specs, &ctx, 1);
         cleanup(&reports)
     });
-    let parallel_ns = median_ns(samples, target_ms, || {
+    let after_ns = median_ns(samples, target_ms, || {
         let reports = driver.place_many(&specs, &ctx, 8);
         cleanup(&reports)
     });
-    Row { part: "place_many", label: "32 placements, looped place vs 8 workers", serial_ns, parallel_ns }
+    Row { part: "place_many", label: "32 placements, looped place vs 8 workers", before_ns, after_ns }
 }
 
 /// How many schedules run against each churn event in the steady tier:
@@ -128,9 +106,9 @@ fn steady_attrs(vault: Loid, memory_mb: i64) -> legion::core::AttributeDb {
 /// Part B: steady-state scheduling over a `records`-strong synthetic
 /// Collection with `churn_pct`% of records refreshed (pull-daemon
 /// style `replace`) before each batch of [`SCHEDULES_PER_CHURN`]
-/// schedules. Serial arm: candidate cache disabled, so every schedule
+/// schedules. Before arm: candidate cache disabled, so every schedule
 /// pays the full indexed query plus per-record candidate
-/// materialization. Parallel arm: the epoch-validated cache patches
+/// materialization. After arm: the epoch-validated cache patches
 /// once from the delta log and serves the rest of the batch by epoch
 /// compare. Schedules only — enactment is part A's subject; this
 /// tier isolates the Fig. 7 "query the Collection" step the cache
@@ -199,14 +177,13 @@ fn cached_steady(
         }
         ns
     };
-    let serial_ns = run(false);
-    let parallel_ns = run(true);
-    Row { part, label, serial_ns, parallel_ns }
+    let before_ns = run(false);
+    let after_ns = run(true);
+    Row { part, label, before_ns, after_ns }
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = quick();
     let (samples, target_ms, preload) = if quick { (5, 5.0, 128) } else { (15, 60.0, 512) };
     let steady_records = if quick { 2_000 } else { 10_000 };
 
@@ -231,63 +208,60 @@ fn main() {
     ];
     for r in &rows {
         println!(
-            "place_throughput/{}: serial {:>12.0} ns, parallel {:>12.0} ns, speedup {:>6.2}x  ({})",
+            "place_throughput/{}: before {:>12.0} ns, after {:>12.0} ns, speedup {:>6.2}x  ({})",
             r.part,
-            r.serial_ns,
-            r.parallel_ns,
-            r.serial_ns / r.parallel_ns,
+            r.before_ns,
+            r.after_ns,
+            r.before_ns / r.after_ns,
             r.label,
         );
+        assert!(r.before_ns > 0.0 && r.after_ns > 0.0, "{}: zero-length cycle", r.part);
     }
-    let place_many_speedup = rows[0].serial_ns / rows[0].parallel_ns;
-    let cached_steady_speedup = rows[1].serial_ns / rows[1].parallel_ns;
+    let place_many_speedup = rows[0].before_ns / rows[0].after_ns;
+    let cached_steady_speedup = rows[1].before_ns / rows[1].after_ns;
     assert!(
         cached_steady_speedup >= 3.0,
         "candidate cache steady-state tier must hold >= 3x at {steady_records} records / 5% churn, \
          got {cached_steady_speedup:.2}x"
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"place_throughput\",\n");
-    json.push_str("  \"schema_version\": 1,\n");
-    json.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    json.push_str(&format!("  \"samples_per_measurement\": {samples},\n"));
-    json.push_str(&format!("  \"preload_reservations_per_host\": {preload},\n"));
-    json.push_str(&format!(
-        "  \"wire_emulation_ns_per_sim_us\": {WIRE_NS_PER_SIM_US},\n"
-    ));
-    json.push_str(
-        "  \"before\": \"serial: looped ScheduleDriver::place, emulated WAN waits paid back-to-back\",\n",
-    );
-    json.push_str(
-        "  \"after\": \"parallel: place_many with 8 workers, same emulated WAN waits overlapped\",\n",
-    );
-    json.push_str(&format!(
-        "  \"headline_place_many_32x8_speedup\": {place_many_speedup:.2},\n"
-    ));
-    json.push_str(&format!("  \"steady_records\": {steady_records},\n"));
-    json.push_str(&format!(
-        "  \"steady_schedules_per_churn\": {SCHEDULES_PER_CHURN},\n"
-    ));
-    json.push_str(&format!(
-        "  \"headline_cached_place_steady_speedup\": {cached_steady_speedup:.2},\n"
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"part\": \"{}\", \"label\": \"{}\", \"serial_ns_per_cycle\": {:.0}, \"parallel_ns_per_cycle\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            r.part,
-            r.label,
-            r.serial_ns,
-            r.parallel_ns,
-            r.serial_ns / r.parallel_ns,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    let mut report = BenchReport::new("place_throughput");
+    report
+        .param("samples_per_measurement", samples)
+        .param("preload_reservations_per_host", preload)
+        .param("wire_emulation_ns_per_sim_us", WIRE_NS_PER_SIM_US)
+        .param(
+            "before",
+            "serial: looped ScheduleDriver::place, emulated WAN waits paid back-to-back",
+        )
+        .param(
+            "after",
+            "parallel: place_many with 8 workers, same emulated WAN waits overlapped",
+        )
+        .param("steady_records", steady_records)
+        .param("steady_schedules_per_churn", SCHEDULES_PER_CHURN)
+        .headline(
+            "headline_place_many_32x8_speedup",
+            fixed(place_many_speedup, 2),
+            "x",
+            Better::Higher,
+            0.5,
+        )
+        .headline(
+            "headline_cached_place_steady_speedup",
+            fixed(cached_steady_speedup, 2),
+            "x",
+            Better::Higher,
+            0.75,
+        );
+    for r in &rows {
+        report.row(vec![
+            ("part", r.part.into()),
+            ("label", r.label.into()),
+            ("before_ns_per_cycle", fixed(r.before_ns, 0)),
+            ("after_ns_per_cycle", fixed(r.after_ns, 0)),
+            ("speedup", fixed(r.before_ns / r.after_ns, 2)),
+        ]);
     }
-    json.push_str("  ]\n}\n");
-
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_place_throughput.json");
-    std::fs::write(out, &json).expect("write BENCH_place_throughput.json");
-    println!("wrote {out}");
+    report.write();
 }

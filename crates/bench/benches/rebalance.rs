@@ -17,6 +17,7 @@
 
 use legion::core::ObjectSpec;
 use legion::prelude::*;
+use legion_bench::harness::{percentile, quick, BenchReport, Better};
 use std::time::Instant;
 
 const SEED: u64 = 0x5EED_BA1A;
@@ -96,13 +97,11 @@ fn run_scenario() -> RunStats {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("BENCH_QUICK").is_ok_and(|v| v == "1");
-    let runs = if quick { 3 } else { 20 };
+    let runs: usize = if quick() { 3 } else { 20 };
 
     let first = run_scenario();
     assert!(
-        first.sweeps_to_converge < MAX_SWEEPS,
+        first.sweeps_to_converge > 0 && first.sweeps_to_converge < MAX_SWEEPS,
         "scenario failed to converge within {MAX_SWEEPS} sweeps"
     );
     let mut all_ns: Vec<u64> = first.sweep_ns.clone();
@@ -115,8 +114,8 @@ fn main() {
         all_ns.extend(rerun.sweep_ns);
     }
     all_ns.sort_unstable();
-    let p95_ns = all_ns[(all_ns.len() * 95 / 100).min(all_ns.len() - 1)];
-    let p50_ns = all_ns[all_ns.len() / 2];
+    let p95_ns = percentile(&all_ns, 0.95);
+    let p50_ns = percentile(&all_ns, 0.5);
 
     println!(
         "rebalance: converged in {} sweeps, {} migrations ({} wasted, {} re-homed), \
@@ -132,43 +131,31 @@ fn main() {
         runs,
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"rebalance\",\n");
-    json.push_str("  \"schema_version\": 1,\n");
-    json.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    json.push_str(&format!("  \"seed\": {SEED},\n"));
-    json.push_str(&format!("  \"timing_runs\": {runs},\n"));
-    json.push_str(
-        "  \"scenario\": \"3x4 bed, 5+5 skew of 0.2-CPU objects, hottest host crashed at sweep 3, swept to convergence\",\n",
-    );
-    json.push_str(&format!(
-        "  \"headline_sweeps_to_converge\": {},\n",
-        first.sweeps_to_converge
-    ));
-    json.push_str(&format!("  \"headline_migrations_issued\": {},\n", first.migrations));
-    json.push_str(&format!("  \"headline_wasted_migrations\": {},\n", first.wasted));
-    json.push_str(&format!("  \"headline_p95_sweep_ns\": {p95_ns},\n"));
-    json.push_str("  \"results\": [\n");
-    json.push_str(&format!(
-        "    {{\"metric\": \"sweeps_to_converge\", \"value\": {}}},\n",
-        first.sweeps_to_converge
-    ));
-    json.push_str(&format!(
-        "    {{\"metric\": \"migrations_issued\", \"value\": {}}},\n",
-        first.migrations
-    ));
-    json.push_str(&format!(
-        "    {{\"metric\": \"wasted_migrations\", \"value\": {}}},\n",
-        first.wasted
-    ));
-    json.push_str(&format!("    {{\"metric\": \"rehomed_migrations\", \"value\": {}}},\n", first.rehomes));
-    json.push_str(&format!("    {{\"metric\": \"watchdog_restarts\", \"value\": {}}},\n", first.restarts));
-    json.push_str(&format!("    {{\"metric\": \"sweep_p50_ns\", \"value\": {p50_ns}}},\n"));
-    json.push_str(&format!("    {{\"metric\": \"sweep_p95_ns\", \"value\": {p95_ns}}}\n"));
-    json.push_str("  ]\n}\n");
-
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_rebalance.json");
-    std::fs::write(out, &json).expect("write BENCH_rebalance.json");
-    println!("wrote {out}");
+    let mut report = BenchReport::new("rebalance");
+    report
+        .param("seed", SEED)
+        .param("timing_runs", runs)
+        .param(
+            "scenario",
+            "3x4 bed, 5+5 skew of 0.2-CPU objects, hottest host crashed at sweep 3, \
+             swept to convergence",
+        )
+        .headline(
+            "headline_sweeps_to_converge",
+            first.sweeps_to_converge,
+            "count",
+            Better::Lower,
+            0.0,
+        )
+        .headline("headline_migrations_issued", first.migrations, "count", Better::Lower, 0.0)
+        .headline("headline_wasted_migrations", first.wasted, "count", Better::Lower, 0.0)
+        .headline("headline_p95_sweep_ns", p95_ns, "ns", Better::Lower, 5.0)
+        .metric("sweeps_to_converge", first.sweeps_to_converge)
+        .metric("migrations_issued", first.migrations)
+        .metric("wasted_migrations", first.wasted)
+        .metric("rehomed_migrations", first.rehomes)
+        .metric("watchdog_restarts", first.restarts)
+        .metric("sweep_p50_ns", p50_ns)
+        .metric("sweep_p95_ns", p95_ns);
+    report.write();
 }

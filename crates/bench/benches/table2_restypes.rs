@@ -1,9 +1,9 @@
 #![allow(missing_docs)]
 //! E-T2 (Table 2): reservation-table admission throughput per type.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use legion::core::{Loid, LoidKind, ReservationRequest, ReservationType, SimDuration, SimTime};
 use legion::hosts::{ReservationTable, TableCapacity};
+use legion_bench::harness::Exhibit;
 
 fn table() -> ReservationTable {
     ReservationTable::new(
@@ -25,54 +25,40 @@ fn req(rtype: ReservationType, slot: u64) -> ReservationRequest {
     .starting_at(SimTime::from_secs(slot * 100))
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("table2_restypes");
+fn main() {
+    let g = Exhibit::new("table2_restypes");
     for rtype in ReservationType::ALL {
-        g.bench_function(format!("admit_64_{}", rtype.name().replace(' ', "_")), |b| {
-            b.iter_batched(
-                table,
-                |mut t| {
-                    for slot in 0..64u64 {
-                        t.make(&req(rtype, slot), SimTime::ZERO).expect("disjoint windows fit");
-                    }
-                    std::hint::black_box(t.live_count())
-                },
-                BatchSize::SmallInput,
-            );
-        });
+        g.time_batched(
+            format_args!("admit_64_{}", rtype.name().replace(' ', "_")),
+            table,
+            |mut t| {
+                for slot in 0..64u64 {
+                    t.make(&req(rtype, slot), SimTime::ZERO).expect("disjoint windows fit");
+                }
+                t.live_count()
+            },
+        );
     }
 
     // Admission check against a loaded table (the hot path under
     // contention: overlap scan + capacity sum).
-    g.bench_function("admit_against_256_live_shared", |b| {
-        b.iter_batched(
-            || {
-                let mut t = table();
-                for _ in 0..256 {
-                    let r = ReservationRequest::instantaneous(
-                        Loid::synthetic(LoidKind::Class, 1),
-                        Loid::synthetic(LoidKind::Vault, 1),
-                        SimDuration::from_secs(10_000),
-                    )
-                    .with_demand(1, 1);
-                    t.make(&r, SimTime::ZERO).expect("tiny demands fit");
-                }
-                t
-            },
-            |mut t| {
-                let r = ReservationRequest::instantaneous(
-                    Loid::synthetic(LoidKind::Class, 1),
-                    Loid::synthetic(LoidKind::Vault, 1),
-                    SimDuration::from_secs(10),
-                )
-                .with_demand(1, 1);
-                std::hint::black_box(t.make(&r, SimTime::ZERO).is_ok())
-            },
-            BatchSize::SmallInput,
-        );
-    });
-    g.finish();
+    let tiny = |secs: u64| {
+        ReservationRequest::instantaneous(
+            Loid::synthetic(LoidKind::Class, 1),
+            Loid::synthetic(LoidKind::Vault, 1),
+            SimDuration::from_secs(secs),
+        )
+        .with_demand(1, 1)
+    };
+    g.time_batched(
+        "admit_against_256_live_shared",
+        || {
+            let mut t = table();
+            for _ in 0..256 {
+                t.make(&tiny(10_000), SimTime::ZERO).expect("tiny demands fit");
+            }
+            t
+        },
+        |mut t| t.make(&tiny(10), SimTime::ZERO).is_ok(),
+    );
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -8,41 +8,37 @@
 //! so "disabled" should be indistinguishable from the seed pipeline
 //! and "enabled" should cost a small constant per span.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use legion::prelude::*;
 use legion_bench::bench_bed;
+use legion_bench::harness::Exhibit;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("trace_overhead");
-    g.sample_size(20);
+fn main() {
+    let g = Exhibit::new("trace_overhead");
     for mode in ["disabled", "enabled", "enabled_json"] {
-        g.bench_with_input(BenchmarkId::new("place_8", mode), &mode, |b, &mode| {
-            b.iter_batched(
-                || {
-                    let (tb, class) = bench_bed(64, 64);
-                    if mode != "disabled" {
-                        tb.fabric.enable_tracing();
-                    }
-                    (tb, class)
-                },
-                |(tb, class)| {
-                    let scheduler = RandomScheduler::new(1);
-                    let enactor = Enactor::new(tb.fabric.clone());
-                    let driver = ScheduleDriver::new(std::sync::Arc::new(scheduler), std::sync::Arc::new(enactor));
-                    let report = driver
-                        .place(&PlacementRequest::new().class(class, 8), &tb.ctx())
-                        .expect("placement");
-                    if mode == "enabled_json" {
-                        criterion::black_box(legion::trace::trace_json(tb.fabric.tracer()));
-                    }
-                    report
-                },
-                BatchSize::SmallInput,
-            );
-        });
+        g.time_batched(
+            format_args!("place_8/{mode}"),
+            || {
+                let (tb, class) = bench_bed(64, 64);
+                if mode != "disabled" {
+                    tb.fabric.enable_tracing();
+                }
+                (tb, class)
+            },
+            |(tb, class)| {
+                let scheduler = RandomScheduler::new(1);
+                let enactor = Enactor::new(tb.fabric.clone());
+                let driver = ScheduleDriver::new(
+                    std::sync::Arc::new(scheduler),
+                    std::sync::Arc::new(enactor),
+                );
+                let report = driver
+                    .place(&PlacementRequest::new().class(class, 8), &tb.ctx())
+                    .expect("placement");
+                if mode == "enabled_json" {
+                    std::hint::black_box(legion::trace::trace_json(tb.fabric.tracer()));
+                }
+                report
+            },
+        );
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,54 +1,35 @@
 #![allow(missing_docs)]
 //! E-X1 (§4.3): stencil scheduler cost and placement-quality scoring.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use legion::apps::StencilApp;
 use legion::prelude::*;
 use legion::schedulers::{stencil::comm_cost, GridSpec};
 use legion_bench::bench_bed_wide;
+use legion_bench::harness::Exhibit;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("x1_stencil");
+fn main() {
+    let g = Exhibit::new("x1_stencil");
     let grid = GridSpec::new(8, 8);
     let (tb, class) = bench_bed_wide(4, 16, 31);
     let ctx = tb.ctx();
+    let request = || PlacementRequest::new().class(class, 64);
 
-    g.bench_function("stencil_generate_64_ranks", |b| {
-        let s = StencilScheduler::new(grid);
-        b.iter(|| {
-            s.compute_schedule(&PlacementRequest::new().class(class, 64), &ctx)
-                .expect("schedule")
-        });
+    let stencil = StencilScheduler::new(grid);
+    g.time("stencil_generate_64_ranks", || {
+        stencil.compute_schedule(&request(), &ctx).expect("schedule")
     });
-
-    g.bench_function("random_generate_64_ranks", |b| {
-        let s = RandomScheduler::new(4);
-        b.iter(|| {
-            s.compute_schedule(&PlacementRequest::new().class(class, 64), &ctx)
-                .expect("schedule")
-        });
+    let random = RandomScheduler::new(4);
+    g.time("random_generate_64_ranks", || {
+        random.compute_schedule(&request(), &ctx).expect("schedule")
     });
 
     // Scoring cost: completion-time prediction over a 64-rank placement.
-    let s = StencilScheduler::new(grid);
-    let sched = s
-        .compute_schedule(&PlacementRequest::new().class(class, 64), &ctx)
-        .expect("schedule");
+    let sched = StencilScheduler::new(grid).compute_schedule(&request(), &ctx).expect("schedule");
     let mappings = sched.schedules[0].master.mappings.clone();
     let app = StencilApp { grid, cycles: 100, compute_per_cycle: SimDuration::from_millis(50) };
-    g.bench_function("score_completion_64_ranks", |b| {
-        b.iter(|| std::hint::black_box(app.completion(&tb.fabric, &mappings, |_| 0.0)));
-    });
+    g.time("score_completion_64_ranks", || app.completion(&tb.fabric, &mappings, |_| 0.0));
 
-    g.bench_function("comm_cost_64_ranks", |b| {
-        let domains: Vec<String> = mappings
-            .iter()
-            .map(|m| format!("{:?}", tb.fabric.domain_of(m.host)))
-            .collect();
-        b.iter(|| std::hint::black_box(comm_cost(&domains, grid, 100, 30_000)));
-    });
-    g.finish();
+    let domains: Vec<String> =
+        mappings.iter().map(|m| format!("{:?}", tb.fabric.domain_of(m.host))).collect();
+    g.time("comm_cost_64_ranks", || comm_cost(&domains, grid, 100, 30_000));
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,9 +1,12 @@
 //! Shared helpers for the benchmark suite.
 //!
-//! Each Criterion bench regenerates one paper exhibit's timing series;
-//! the `experiments` binary regenerates the shaped (non-timing) tables.
-//! See DESIGN.md §4 for the exhibit → bench mapping and EXPERIMENTS.md
-//! for recorded results.
+//! Each exhibit bench times one paper exhibit's series on the
+//! [`harness`] timer; the gated benches also write a `BENCH_*.json`
+//! report; the `experiments` binary regenerates the shaped
+//! (non-timing) tables. See DESIGN.md §4 for the exhibit → bench
+//! mapping and EXPERIMENTS.md for recorded results.
+
+pub mod harness;
 
 use legion::prelude::*;
 

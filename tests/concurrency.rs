@@ -5,7 +5,9 @@
 //! all-or-nothing under interleaving.
 
 use legion::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 #[test]
 fn racing_enactors_never_oversubscribe() {
@@ -135,36 +137,38 @@ fn place_many_preserves_order_and_never_oversubscribes() {
 #[test]
 fn concurrent_collection_updates_and_queries() {
     // Readers query while writers push; no torn state, every record
-    // stays internally consistent.
+    // stays internally consistent. The run ends once both sides have
+    // made a fixed amount of progress, not after a fixed time, so a
+    // loaded machine slows the test down instead of failing it.
+    const MIN_OPS: u64 = 50;
+    const CAP: Duration = Duration::from_secs(120);
     let tb = Arc::new(Testbed::build(TestbedConfig::local(8, 79)));
     tb.tick(SimDuration::from_secs(1));
 
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
+    let pulls = Arc::new(AtomicU64::new(0));
+    let queries = Arc::new(AtomicU64::new(0));
     let writers: Vec<_> = (0..2)
         .map(|_| {
-            let tb = Arc::clone(&tb);
-            let stop = Arc::clone(&stop);
+            let (tb, stop, pulls) = (Arc::clone(&tb), Arc::clone(&stop), Arc::clone(&pulls));
             std::thread::spawn(move || {
-                let mut n = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                while !stop.load(Ordering::Relaxed) {
                     tb.daemon.pull_once(tb.fabric.clock().now());
-                    n += 1;
+                    pulls.fetch_add(1, Ordering::Relaxed);
                 }
-                n
             })
         })
         .collect();
     let readers: Vec<_> = (0..4)
         .map(|_| {
-            let tb = Arc::clone(&tb);
-            let stop = Arc::clone(&stop);
+            let (tb, stop, queries) = (Arc::clone(&tb), Arc::clone(&stop), Arc::clone(&queries));
             std::thread::spawn(move || {
                 let q = legion::collection::parse_query(
                     r#"match($host_os_name, "IRIX") and $host_load >= 0.0"#,
                 )
                 .unwrap();
                 let mut hits = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                while !stop.load(Ordering::Relaxed) {
                     let rs = tb.collection.query_parsed(&q);
                     // Every record the query returns is complete.
                     for r in &rs {
@@ -172,17 +176,31 @@ fn concurrent_collection_updates_and_queries() {
                         assert!(r.attrs.contains("host_compatible_vaults"));
                     }
                     hits += rs.len() as u64;
+                    queries.fetch_add(1, Ordering::Relaxed);
                 }
                 hits
             })
         })
         .collect();
 
-    std::thread::sleep(std::time::Duration::from_millis(300));
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let pulls: u64 = writers.into_iter().map(|h| h.join().unwrap()).sum();
+    let start = Instant::now();
+    let progressed = || {
+        pulls.load(Ordering::Relaxed) >= MIN_OPS && queries.load(Ordering::Relaxed) >= MIN_OPS
+    };
+    while !progressed() && start.elapsed() < CAP {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    stop.store(true, Ordering::Relaxed);
+    for w in writers {
+        w.join().unwrap();
+    }
     let hits: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
-    assert!(pulls > 0 && hits > 0, "both sides made progress: {pulls} pulls, {hits} hits");
+    let (pulls, queries) = (pulls.load(Ordering::Relaxed), queries.load(Ordering::Relaxed));
+    assert!(
+        pulls >= MIN_OPS && queries >= MIN_OPS,
+        "no progress within {CAP:?}: {pulls} pulls, {queries} queries (need {MIN_OPS} each)"
+    );
+    assert!(hits > 0, "{queries} queries returned no records");
     assert_eq!(tb.collection.len(), 8);
 }
 

@@ -1,28 +1,23 @@
 #!/usr/bin/env python3
 """Benchmark regression gate.
 
-Compares freshly generated ``BENCH_*.json`` files in the working tree
-against the committed baselines (``git show <ref>:<file>``) and fails
-when any ``headline_*`` metric regresses beyond tolerance.
+Checks that every freshly generated ``BENCH_*.json`` file in the
+working tree has the schema-v2 layout the bench harness writes, then
+compares its ``headlines`` against the committed baseline
+(``git show <ref>:<file>``).
 
-Direction is inferred from the metric name: ``speedup``/``throughput``/
-``ops``/``completed`` metrics must not drop, while ``ns``/``us``/``ms``/
-``latency``/``sweeps``/``migrations``/``wasted`` metrics must not grow.
-Metrics that match neither set are reported but not gated. A headline
-present in the baseline but absent from the fresh file is reported
-``MISSING`` and fails the gate, so a bench cannot drop a gated number
-unnoticed.
+Each baseline headline declares its own gate: ``better`` (``higher`` or
+``lower``) and ``tolerance``, the relative slip allowed in the worse
+direction (0.5 = may be 50% worse, 0.0 = may not be worse at all). The
+gate always uses the **baseline's** declaration, so a regenerated file
+cannot loosen its own gate. A lower-is-better baseline of zero fails on
+any increase. A headline that declares no valid direction or tolerance
+fails, and so does a baseline headline missing from the fresh file
+(``MISSING``), so a bench cannot drop a gated number unnoticed.
 
 Usage (from the repo root, after re-running the benches)::
 
-    python3 tools/bench_gate.py --tolerance 0.5 \
-        --override headline_sweeps_to_converge=0.0 \
-        --override headline_p95_sweep_ns=3.0
-
-``--tolerance`` is the default allowed relative slip (0.5 = may be 50%
-worse than baseline); ``--override KEY=TOL`` pins a per-metric
-tolerance, with 0.0 meaning "must not be worse at all". A baseline of
-zero on a lower-is-better metric gates exactly: any increase fails.
+    python3 tools/bench_gate.py
 """
 
 from __future__ import annotations
@@ -34,18 +29,114 @@ import os
 import subprocess
 import sys
 
-HIGHER_BETTER = ("speedup", "throughput", "ops_per", "hit_rate", "completed")
-LOWER_BETTER = ("_ns", "_us", "_ms", "latency", "sweeps", "migrations",
-                "wasted", "rollback", "misses", "fairness")
+TOP_KEYS = {"bench", "schema_version", "mode", "machine", "params",
+            "headlines", "results"}
+HEADLINE_KEYS = {"value", "unit", "better", "tolerance"}
 
 
-def direction(metric: str) -> str:
-    name = metric.lower()
-    if any(tok in name for tok in HIGHER_BETTER):
-        return "higher"
-    if any(tok in name for tok in LOWER_BETTER):
-        return "lower"
-    return "ungated"
+def declaration_error(decl: object) -> str | None:
+    """Why a headline declaration is unusable, or None if it is fine."""
+    if not isinstance(decl, dict):
+        return "not an object"
+    if decl.get("better") not in ("higher", "lower"):
+        return f"declares no direction (better={decl.get('better')!r})"
+    tol = decl.get("tolerance")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol < 0:
+        return f"declares no tolerance (tolerance={tol!r})"
+    value = decl.get("value")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"value is not a number ({value!r})"
+    if not isinstance(decl.get("unit"), str):
+        return "declares no unit"
+    return None
+
+
+def layout_errors(data: object, stem: str) -> list[str]:
+    """Schema-v2 layout problems of one ``BENCH_<stem>.json`` file."""
+    if not isinstance(data, dict):
+        return ["top level is not an object"]
+    errors = []
+    if set(data) != TOP_KEYS:
+        errors.append(f"top-level keys {sorted(data)} != {sorted(TOP_KEYS)}")
+    if data.get("bench") != stem:
+        errors.append(f"bench id {data.get('bench')!r} != {stem!r}")
+    if data.get("schema_version") != 2:
+        errors.append(f"schema_version {data.get('schema_version')!r} != 2")
+    if data.get("mode") not in ("quick", "full"):
+        errors.append(f"mode {data.get('mode')!r} is not quick/full")
+    machine = data.get("machine")
+    if not isinstance(machine, dict) or {"nproc", "profile"} - machine.keys():
+        errors.append("machine lacks nproc/profile")
+    if not isinstance(data.get("params"), dict):
+        errors.append("params is not an object")
+    headlines = data.get("headlines")
+    if not isinstance(headlines, dict) or not headlines:
+        errors.append("no headlines")
+    else:
+        for name, decl in headlines.items():
+            if isinstance(decl, dict) and set(decl) != HEADLINE_KEYS:
+                errors.append(f"{name}: keys {sorted(decl)} != "
+                              f"{sorted(HEADLINE_KEYS)}")
+    results = data.get("results")
+    if not isinstance(results, list) or not results \
+            or not all(isinstance(r, dict) for r in results):
+        errors.append("results is not a non-empty list of objects")
+    elif any(set(r) != set(results[0]) for r in results):
+        errors.append("results rows do not share one key set")
+    return errors
+
+
+def gate(current: dict, baseline: dict | None) -> tuple[list[tuple], int]:
+    """Gates one fresh file against its baseline.
+
+    Returns ``(rows, failures)``; each row is ``(metric, baseline,
+    current, change, tolerance, verdict)``.
+    """
+    rows: list[tuple] = []
+    failures = 0
+    fresh = current.get("headlines") or {}
+    for metric, decl in fresh.items():
+        why = declaration_error(decl)
+        if why is not None:
+            rows.append((metric, "-", "-", "-", "-", f"FAIL: fresh {why}"))
+            failures += 1
+    if baseline is None:
+        return rows + [("(new bench)", "-", "-", "-", "-", "PASS")], failures
+    base_heads = baseline.get("headlines")
+    if not isinstance(base_heads, dict):
+        return rows + [("(baseline)", "-", "-", "-", "-",
+                        "FAIL: baseline has no v2 headlines")], failures + 1
+    for metric, decl in base_heads.items():
+        why = declaration_error(decl)
+        if why is not None:
+            rows.append((metric, "-", "-", "-", "-", f"FAIL: baseline {why}"))
+            failures += 1
+            continue
+        if metric not in fresh:
+            rows.append((metric, f"{decl['value']:g}", "-", "-", "-",
+                         "MISSING"))
+            failures += 1
+            continue
+        if declaration_error(fresh[metric]) is not None:
+            continue  # already failed above
+        base, cur = float(decl["value"]), float(fresh[metric]["value"])
+        tol, sense = float(decl["tolerance"]), decl["better"]
+        if base == 0.0:
+            # Relative change is undefined; gate absolutely.
+            regressed = cur > 0.0 if sense == "lower" else cur < 0.0
+            delta = "n/a" if cur == base else f"{cur - base:+g}"
+        else:
+            change = (cur - base) / abs(base)
+            regressed = change > tol if sense == "lower" else change < -tol
+            delta = f"{change:+.1%}"
+        failures += regressed
+        rows.append((metric, f"{base:g}", f"{cur:g}", delta, f"{tol:g}",
+                     "FAIL" if regressed else "PASS"))
+    for metric in fresh:
+        if metric not in base_heads:
+            rows.append((metric, "-", f"{fresh[metric].get('value')}", "-",
+                         "-", "NEW"))
+    return rows, failures
 
 
 def load_baseline(ref: str, path: str) -> dict | None:
@@ -65,83 +156,40 @@ def main() -> int:
                     help="BENCH_*.json files to gate (default: all in cwd)")
     ap.add_argument("--baseline-ref", default="HEAD",
                     help="git ref holding the committed baselines")
-    ap.add_argument("--tolerance", type=float, default=0.5,
-                    help="default allowed relative slip (0.5 = 50%% worse)")
-    ap.add_argument("--override", action="append", default=[],
-                    metavar="KEY=TOL", help="per-metric tolerance override")
     args = ap.parse_args()
-
-    overrides: dict[str, float] = {}
-    for item in args.override:
-        key, _, tol = item.partition("=")
-        if not tol:
-            ap.error(f"--override needs KEY=TOL, got {item!r}")
-        overrides[key] = float(tol)
 
     files = args.files or sorted(glob.glob("BENCH_*.json"))
     if not files:
         print("bench_gate: no BENCH_*.json files found", file=sys.stderr)
         return 1
 
-    rows = []
+    table = []
     failures = 0
     for path in files:
         with open(path) as f:
             current = json.load(f)
+        stem = os.path.basename(path)[len("BENCH_"):-len(".json")]
+        for err in layout_errors(current, stem):
+            table.append((path, "(layout)", "-", "-", "-", "-",
+                          f"FAIL: {err}"))
+            failures += 1
         baseline = load_baseline(args.baseline_ref, os.path.relpath(path))
-        if baseline is None:
-            rows.append((path, "(new bench)", "-", "-", "-", "-", "PASS"))
-            continue
-        headlines = sorted(k for k in current if k.startswith("headline_"))
-        if not headlines:
-            print(f"bench_gate: {path} has no headline_* metrics",
-                  file=sys.stderr)
-            failures += 1
-            continue
-        for metric in sorted(k for k in baseline
-                             if k.startswith("headline_") and k not in current):
-            rows.append((path, metric, f"{baseline[metric]:g}", "-",
-                         "-", "-", "MISSING"))
-            failures += 1
-        for metric in headlines:
-            if metric not in baseline:
-                rows.append((path, metric, "-", f"{current[metric]:g}",
-                             "-", "-", "NEW"))
-                continue
-            base, cur = float(baseline[metric]), float(current[metric])
-            tol = overrides.get(metric, args.tolerance)
-            sense = direction(metric)
-            if sense == "ungated":
-                rows.append((path, metric, f"{base:g}", f"{cur:g}",
-                             "-", "-", "INFO"))
-                continue
-            if base == 0.0:
-                # Relative change is undefined; gate absolutely.
-                regressed = cur > 0.0 if sense == "lower" else False
-                delta = "n/a" if cur == base else f"+{cur:g}"
-            else:
-                change = (cur - base) / base
-                regressed = (change > tol) if sense == "lower" \
-                    else (change < -tol)
-                delta = f"{change:+.1%}"
-            verdict = "FAIL" if regressed else "PASS"
-            failures += regressed
-            rows.append((path, metric, f"{base:g}", f"{cur:g}",
-                         delta, f"{tol:g}", verdict))
+        rows, failed = gate(current, baseline)
+        table += [(path,) + row for row in rows]
+        failures += failed
 
-    widths = [max(len(str(r[i])) for r in rows + [
-        ("file", "metric", "baseline", "current", "change", "tol", "verdict")
-    ]) for i in range(7)]
     header = ("file", "metric", "baseline", "current", "change", "tol",
               "verdict")
+    widths = [max(len(str(r[i])) for r in table + [header])
+              for i in range(len(header))]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     print("  ".join("-" * w for w in widths))
-    for r in rows:
+    for r in table:
         print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
 
     if failures:
-        print(f"\nbench_gate: {failures} regression(s) beyond tolerance "
-              f"or missing headline(s) "
+        print(f"\nbench_gate: {failures} failure(s): regression beyond "
+              f"tolerance, missing headline or bad layout "
               f"(baseline {args.baseline_ref})", file=sys.stderr)
         return 1
     print(f"\nbench_gate: all headline metrics within tolerance "
